@@ -56,7 +56,6 @@ struct SimWorkspace {
   std::vector<double> ready_time;
   std::vector<std::uint32_t> pending_epoch;
   std::vector<int> pending_inputs;
-  std::vector<double> finish_time;
 
   // Per-device / per-channel availability.
   std::vector<double> device_free;
@@ -105,7 +104,6 @@ struct SimWorkspace {
       ready_time.resize(ops);
       pending_epoch.assign(ops, 0);
       pending_inputs.resize(ops);
-      finish_time.resize(ops);
       transfer_epoch.assign(flat, 0);
       transfer_bytes.resize(flat);
       transfer_arrival.resize(flat);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "models/zoo.h"
@@ -48,12 +50,13 @@ struct Audited {
   StepResult result;
 };
 
-Audited RunBenchmark(models::Benchmark benchmark) {
+Audited RunBenchmark(models::Benchmark benchmark,
+                     ClusterSpec cluster = MakeDefaultCluster()) {
   Audited out;
   models::ZooOptions zoo;
   zoo.reduced = true;
   out.graph = models::BuildBenchmark(benchmark, zoo);
-  out.cluster = MakeDefaultCluster();
+  out.cluster = std::move(cluster);
   out.placement = RoundRobin(out.graph, out.cluster);
   ExecutionSimulator sim(out.graph, out.cluster, RecordingOptions());
   out.result = sim.Run(out.placement);
@@ -65,24 +68,34 @@ AuditReport Audit(const Audited& a) {
                        RecordingOptions());
 }
 
-TEST(AuditClean, InceptionV3) {
-  const Audited a = RunBenchmark(models::Benchmark::kInceptionV3);
-  ASSERT_FALSE(a.result.schedule.empty());
-  ASSERT_FALSE(a.result.transfers.empty());
-  const AuditReport report = Audit(a);
-  EXPECT_TRUE(report.ok()) << report.ToString();
+// The homogeneous box plus both hierarchical topologies, so the channel
+// invariants are checked on shared PCIe-root, shared NIC-egress and
+// per-pair NVLink channels.
+std::vector<std::pair<std::string, ClusterSpec>> AuditClusters() {
+  return {{"default", MakeDefaultCluster()},
+          {"2node8", MakeTwoNodeNvlinkIbCluster()},
+          {"mixed", MakeMixedSpeedCluster()}};
 }
 
-TEST(AuditClean, Gnmt) {
-  const Audited a = RunBenchmark(models::Benchmark::kGNMT);
-  const AuditReport report = Audit(a);
-  EXPECT_TRUE(report.ok()) << report.ToString();
+void ExpectAuditsClean(models::Benchmark benchmark) {
+  for (auto& [name, cluster] : AuditClusters()) {
+    SCOPED_TRACE(name);
+    const Audited a = RunBenchmark(benchmark, std::move(cluster));
+    ASSERT_FALSE(a.result.schedule.empty());
+    ASSERT_FALSE(a.result.transfers.empty());
+    const AuditReport report = Audit(a);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
 }
+
+TEST(AuditClean, InceptionV3) {
+  ExpectAuditsClean(models::Benchmark::kInceptionV3);
+}
+
+TEST(AuditClean, Gnmt) { ExpectAuditsClean(models::Benchmark::kGNMT); }
 
 TEST(AuditClean, BertBase) {
-  const Audited a = RunBenchmark(models::Benchmark::kBertBase);
-  const AuditReport report = Audit(a);
-  EXPECT_TRUE(report.ok()) << report.ToString();
+  ExpectAuditsClean(models::Benchmark::kBertBase);
 }
 
 TEST(AuditClean, TightMemoryClusterStaysConsistent) {
