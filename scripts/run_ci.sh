@@ -11,11 +11,16 @@
 #      --telemetry-out / --profile-out must produce JSONL that
 #      tools/metrics_report parses and a Chrome trace containing
 #      trainer-phase spans (see docs/OBSERVABILITY.md),
-#   6. a kernel-bench smoke run: bench_micro --smoke must complete and
+#   6. thread-count identity on a run that revisits placements: BERT
+#      bench_table1 at 160 samples (its feed-forward and METIS runs
+#      repeat an earlier placement on 25-30% of evaluations, within and
+#      across minibatches) must print the same results and write
+#      byte-identical CSVs with 1 and with 4 evaluation threads,
+#   7. a kernel-bench smoke run: bench_micro --smoke must complete and
 #      emit well-formed BENCH_kernels.json (tiny shapes — it guards the
 #      harness and the naive-reference plumbing, not the perf ratios;
 #      see docs/PERFORMANCE.md),
-#   7. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
+#   8. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
 #      seeded .eg/.json corpora 10k/2k times against the hardened parser
 #      (any crash or uncaught throw fails here), corrupts the shipped
 #      cluster-spec files 2k times each against the cluster importer,
@@ -69,6 +74,20 @@ grep -q '"name":"eval\.' "$SMOKE/profile.json"
 test -s "$SMOKE/report_runs.csv"
 test -s "$SMOKE/report_phases.csv"
 echo TELEMETRY_SMOKE_CLEAN
+
+echo "=== thread-count identity on a revisiting run ==="
+# Every evaluation is one simulator run, so repeated placements need no
+# in-flight bookkeeping: 1 and 4 threads must agree on everything but
+# wall-clock. Log lines (stderr) carry the per-run best, invalid count
+# and simulated hours; their timestamp prefix and wall time are dropped.
+for T in 1 4; do
+  "$BUILD/bench/bench_table1" --models=bert --samples=160 --threads="$T" \
+    --csv="$SMOKE/t${T}_" 2>&1 |
+    sed -E 's/^\[[^]]*\] //; s/wall [0-9.]+ s/wall s/' >"$SMOKE/t$T.out"
+done
+diff "$SMOKE/t1.out" "$SMOKE/t4.out"
+cmp "$SMOKE/t1_table1.csv" "$SMOKE/t4_table1.csv"
+echo THREAD_IDENTITY_CLEAN
 
 echo "=== kernel bench smoke ==="
 "$BUILD/bench/bench_micro" --smoke --out="$SMOKE/BENCH_kernels.json"

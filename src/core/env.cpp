@@ -1,8 +1,10 @@
 #include "core/env.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "sim/cost_model.h"
@@ -20,10 +22,6 @@ namespace {
 struct EnvMetrics {
   support::metrics::Counter* evaluations =
       support::metrics::GetCounter("env.evaluations");
-  support::metrics::Counter* cache_hits =
-      support::metrics::GetCounter("env.cache_hits");
-  support::metrics::Counter* cache_misses =
-      support::metrics::GetCounter("env.cache_misses");
   support::metrics::Counter* attempts =
       support::metrics::GetCounter("env.attempts");
   support::metrics::Counter* transient_failures =
@@ -63,8 +61,7 @@ PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
       cluster_(&cluster),
       options_(options),
       session_(graph, cluster, options.measurement, options.simulator),
-      fault_rng_(options.faults.seed),
-      cache_(options.eval_cache_capacity) {
+      fault_rng_(options.faults.seed) {
   options_.retry.Validate();
   if (options_.faults.enabled()) {
     injector_ = std::make_unique<sim::FaultInjector>(options_.faults, cluster);
@@ -84,16 +81,7 @@ PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
   EAGLE_CHECK(penalty_seconds_ > 0.0);
 }
 
-bool PlacementEnvironment::PendingContains(
-    std::uint64_t hash, const std::vector<sim::DeviceId>& devices) const {
-  for (const PendingEval& pending : pending_) {
-    if (pending.hash == hash && pending.devices == devices) return true;
-  }
-  return false;
-}
-
-EvalTicket PlacementEnvironment::PrepareEvaluation(
-    const sim::Placement& placement) {
+EvalTicket PlacementEnvironment::PrepareEvaluation() {
   std::lock_guard<std::mutex> lock(state_mutex_);
   ++evaluations_;
   Metrics().evaluations->Increment();
@@ -104,25 +92,6 @@ EvalTicket PlacementEnvironment::PrepareEvaluation(
     // of this evaluation, on whichever thread it lands.
     ticket.fault_rng = fault_rng_.Split();
   }
-  if (options_.cache_evaluations) {
-    const std::uint64_t hash = placement.Hash();
-    if (cache_.LookupByHash(hash, placement.devices(), &ticket.clean)) {
-      ticket.has_clean = true;
-      ticket.counted_cache_hit = true;
-    } else if (PendingContains(hash, placement.devices())) {
-      // A duplicate of an in-flight evaluation: a serial run would have
-      // found it cached by now, so count the hit (the worker recomputes
-      // the identical noiseless result rather than waiting).
-      ticket.counted_cache_hit = true;
-    }
-    if (ticket.counted_cache_hit) {
-      ++cache_hits_;
-      Metrics().cache_hits->Increment();
-    } else {
-      Metrics().cache_misses->Increment();
-    }
-    pending_.push_back(PendingEval{hash, placement.devices()});
-  }
   return ticket;
 }
 
@@ -130,17 +99,10 @@ EvalOutcome PlacementEnvironment::EvaluateTicket(
     const sim::Placement& placement, EvalTicket& ticket,
     support::Rng* rng) const {
   EvalOutcome outcome;
-  sim::EvalResult clean;
-  if (ticket.has_clean) {
-    clean = ticket.clean;
-  } else {
-    // The *noiseless* result is what gets cached; noise is re-applied
-    // per evaluation below so repeated visits still look like
-    // independent measurements.
-    clean = session_.Evaluate(placement, nullptr);
-    outcome.clean = clean;
-    outcome.insert_clean = options_.cache_evaluations;
-  }
+  // Noise is applied below, per evaluation, on top of the noiseless
+  // simulator result, so repeated visits look like independent
+  // measurements.
+  const sim::EvalResult clean = session_.Evaluate(placement, nullptr);
 
   if (injector_ == nullptr) {
     outcome.attempts = 1;
@@ -217,19 +179,8 @@ sim::EvalResult PlacementEnvironment::EvaluateWithRetries(
   return result;
 }
 
-void PlacementEnvironment::CommitEvaluation(const sim::Placement& placement,
-                                            const EvalOutcome& outcome) {
+void PlacementEnvironment::CommitEvaluation(const EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  if (options_.cache_evaluations) {
-    const std::uint64_t hash = placement.Hash();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->hash == hash && it->devices == placement.devices()) {
-        pending_.erase(it);
-        break;
-      }
-    }
-    if (outcome.insert_clean) cache_.Insert(placement, outcome.clean);
-  }
   attempts_ += outcome.attempts;
   transient_failures_ += outcome.transient_failures;
   timeouts_ += outcome.timeouts;
@@ -251,9 +202,9 @@ void PlacementEnvironment::CommitEvaluation(const sim::Placement& placement,
 
 sim::EvalResult PlacementEnvironment::Evaluate(
     const sim::Placement& placement, support::Rng* rng) {
-  EvalTicket ticket = PrepareEvaluation(placement);
+  EvalTicket ticket = PrepareEvaluation();
   EvalOutcome outcome = EvaluateTicket(placement, ticket, rng);
-  CommitEvaluation(placement, outcome);
+  CommitEvaluation(outcome);
   return outcome.result;
 }
 
@@ -266,7 +217,8 @@ void PlacementEnvironment::SerializeState(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   const auto rng_state = fault_rng_.state();
   for (std::uint64_t s : rng_state) WritePod(out, s);
-  WritePod(out, cache_hits_);
+  // Former cache-hit counter: a zero keeps the blob layout checkpoints use.
+  WritePod(out, int{0});
   WritePod(out, evaluations_);
   WritePod(out, attempts_);
   WritePod(out, transient_failures_);
@@ -281,7 +233,9 @@ void PlacementEnvironment::DeserializeState(std::istream& in) {
   std::array<std::uint64_t, 4> rng_state{};
   for (auto& s : rng_state) ReadPod(in, s);
   fault_rng_.set_state(rng_state);
-  ReadPod(in, cache_hits_);
+  // Former cache-hit counter: older checkpoints hold a count here; skip it.
+  int retired_slot = 0;
+  ReadPod(in, retired_slot);
   ReadPod(in, evaluations_);
   ReadPod(in, attempts_);
   ReadPod(in, transient_failures_);

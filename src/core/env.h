@@ -1,8 +1,9 @@
 // PlacementEnvironment: the environment the RL agents interact with.
 //
-// Wraps a benchmark graph + cluster + MeasurementSession, caches noiseless
-// evaluations (collision-checked by full device vector — see EvalCache),
-// and supplies the invalid-placement penalty used by reward shaping.
+// Wraps a benchmark graph + cluster + MeasurementSession and supplies the
+// invalid-placement penalty used by reward shaping. Every evaluation is
+// one noiseless simulator run; the simulator is deterministic, so a
+// revisited placement gets the same result without any memoization.
 //
 // Robustness layer: when EnvironmentOptions::faults is enabled, every
 // evaluation becomes a retry loop over fault-injected measurement
@@ -18,15 +19,14 @@
 // core::EvalService can run the expensive middle phase on worker threads
 // while the run stays bit-identical to a serial one:
 //
-//   1. PrepareEvaluation (serial, dispatch order) — splits a per-sample
-//      child off the fault stream, resolves the cache and counts the
-//      hit/miss verdict.
+//   1. PrepareEvaluation (serial, dispatch order) — counts the
+//      evaluation and splits a per-sample child off the fault stream.
 //   2. EvaluateTicket (any thread) — const: simulator runs, fault-
 //      injected retry attempts and measurement noise touch only the
-//      ticket's private RNGs; shared counters/cache are never written.
-//   3. CommitEvaluation (serial, submission order) — inserts the clean
-//      result into the cache and applies the counter deltas, replaying
-//      exactly what an interleaved serial run would have done.
+//      ticket's private RNGs; shared counters are never written.
+//   3. CommitEvaluation (serial, submission order) — applies the counter
+//      and backoff deltas, replaying exactly what an interleaved serial
+//      run would have done.
 //
 // Evaluate() is Prepare+Evaluate+Commit back to back, so serial callers,
 // a 1-thread service and an N-thread service all advance the same
@@ -36,9 +36,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <vector>
 
-#include "core/eval_cache.h"
 #include "core/policy.h"
 #include "sim/fault.h"
 #include "sim/measurement.h"
@@ -58,28 +56,18 @@ struct EnvironmentOptions {
   double penalty_factor = 10.0;
   // Inert; its only reader is e2ebench/harness.cpp:298. Delete both together.
   bool delta_resim = true;
-  bool cache_evaluations = true;
-  // Entry cap for the evaluation cache (<= 0: unbounded). Long fault
-  // sweeps revisit thousands of placements; the cap bounds memory with
-  // LRU-ish eviction (see EvalCache).
-  int eval_cache_capacity = 0;
 };
 
 // One in-flight evaluation's private context, split off serially at
 // dispatch time so concurrent evaluations share no mutable state.
 struct EvalTicket {
-  support::Rng fault_rng;         // per-sample child of the fault stream
-  bool counted_cache_hit = false;
-  bool has_clean = false;         // noiseless result resolved from cache
-  sim::EvalResult clean;
+  support::Rng fault_rng;  // per-sample child of the fault stream
 };
 
 // One evaluation's result plus the deterministic counter deltas the
 // commit phase applies in submission order.
 struct EvalOutcome {
   sim::EvalResult result;
-  sim::EvalResult clean;          // noiseless result, for the cache
-  bool insert_clean = false;
   int attempts = 0;
   int transient_failures = 0;
   int timeouts = 0;
@@ -103,11 +91,10 @@ class PlacementEnvironment : public Environment {
   // determinism contract requires Prepare calls in dispatch order and
   // Commit calls in submission order; EvaluateTicket is const and safe
   // to run concurrently.
-  EvalTicket PrepareEvaluation(const sim::Placement& placement);
+  EvalTicket PrepareEvaluation();
   EvalOutcome EvaluateTicket(const sim::Placement& placement,
                              EvalTicket& ticket, support::Rng* rng) const;
-  void CommitEvaluation(const sim::Placement& placement,
-                        const EvalOutcome& outcome);
+  void CommitEvaluation(const EvalOutcome& outcome);
 
   // Fault stream + robustness counters, for checkpoint/resume.
   void SerializeState(std::ostream& out) const override;
@@ -116,9 +103,9 @@ class PlacementEnvironment : public Environment {
   const graph::OpGraph& graph() const { return *graph_; }
   const sim::ClusterSpec& cluster() const { return *cluster_; }
   const sim::MeasurementSession& session() const { return session_; }
-  const EvalCache& cache() const { return cache_; }
 
-  int cache_hits() const { return ReadCounter(cache_hits_); }
+  // Inert; its only reader is e2ebench/harness.cpp:383. Delete both together.
+  int cache_hits() const { return 0; }
   int evaluations() const { return ReadCounter(evaluations_); }
 
   // Robustness counters (all zero when faults are disabled).
@@ -138,8 +125,6 @@ class PlacementEnvironment : public Environment {
                                       support::Rng* noise_rng,
                                       support::Rng& fault_rng,
                                       EvalOutcome* outcome) const;
-  bool PendingContains(std::uint64_t hash,
-                       const std::vector<sim::DeviceId>& devices) const;
   int ReadCounter(const int& counter) const {
     std::lock_guard<std::mutex> lock(state_mutex_);
     return counter;
@@ -153,22 +138,12 @@ class PlacementEnvironment : public Environment {
   double penalty_seconds_ = 0.0;
 
   // Mutable environment state. The mutex guards everything below it:
-  // the fault stream, the pending list, the counters and the backoff
-  // accumulator. Counters are only written inside the serialized
-  // Prepare/Commit phases, so plain ints under the lock suffice — no
-  // atomics needed (eagle-lint rule CC01 keeps it that way).
+  // the fault stream, the counters and the backoff accumulator. Counters
+  // are only written inside the serialized Prepare/Commit phases, so
+  // plain ints under the lock suffice — no atomics needed (eagle-lint
+  // rule CC01 keeps it that way).
   mutable std::mutex state_mutex_;
   support::Rng fault_rng_;
-  // Placements prepared but not yet committed: a duplicate dispatched in
-  // the same round counts as a cache hit exactly as it would have in an
-  // interleaved serial run.
-  struct PendingEval {
-    std::uint64_t hash;
-    std::vector<sim::DeviceId> devices;
-  };
-  std::vector<PendingEval> pending_;
-  EvalCache cache_;
-  int cache_hits_ = 0;
   int evaluations_ = 0;
   int attempts_ = 0;
   int transient_failures_ = 0;

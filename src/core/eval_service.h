@@ -11,11 +11,10 @@
 // Determinism contract: a batch evaluated with N threads is bit-identical
 // to the same batch evaluated serially. The service leans on
 // PlacementEnvironment's three-phase protocol — PrepareEvaluation in
-// dispatch order (fault-stream splits, cache hit accounting),
-// EvaluateTicket concurrently (const, no shared mutable state),
-// CommitEvaluation in submission order (cache fills, counter deltas,
-// backoff sums) — so thread scheduling can never leak into results,
-// history, counters or checkpoints.
+// dispatch order (evaluation count, fault-stream splits), EvaluateTicket
+// concurrently (const, no shared mutable state), CommitEvaluation in
+// submission order (counter deltas, backoff sums) — so thread scheduling
+// can never leak into results, history, counters or checkpoints.
 #pragma once
 
 #include <memory>

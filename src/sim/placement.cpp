@@ -71,16 +71,6 @@ std::vector<int> Placement::OpsPerDevice(const ClusterSpec& cluster) const {
   return counts;
 }
 
-std::uint64_t Placement::Hash() const {
-  // FNV-1a over device ids.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (DeviceId d : devices_) {
-    h ^= static_cast<std::uint64_t>(d) + 0x9E3779B97F4A7C15ULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string Placement::ToString(const graph::OpGraph& graph,
                                 const ClusterSpec& cluster) const {
   std::ostringstream os;

@@ -6,7 +6,6 @@
 // update op).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,6 @@ class Placement {
 
   // Per-device op counts (after normalization) — used in reports.
   std::vector<int> OpsPerDevice(const ClusterSpec& cluster) const;
-
-  // Stable 64-bit content hash (for the environment's evaluation cache).
-  std::uint64_t Hash() const;
 
   std::string ToString(const graph::OpGraph& graph,
                        const ClusterSpec& cluster) const;

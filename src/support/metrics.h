@@ -1,10 +1,10 @@
 // Process-wide metrics registry and profiling spans.
 //
 // EAGLE's headline result is a time-to-solution curve (Figs. 5/6), so the
-// trainer has to be able to report its *own* wall-clock honestly: cache
-// hit rates, retry churn, eval-latency distribution, thread-pool
-// occupancy and where each training round spends its time. This module is
-// the single sink for all of that:
+// trainer has to be able to report its *own* wall-clock honestly: retry
+// churn, eval-latency distribution, thread-pool occupancy and where each
+// training round spends its time. This module is the single sink for all
+// of that:
 //
 //   - Counter    monotonically increasing int64 (lock-free increments)
 //   - Gauge      last-set double (e.g. worker occupancy of the last batch)

@@ -11,7 +11,6 @@
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
-#include "core/eval_cache.h"
 #include "core/eval_service.h"
 #include "models/synthetic.h"
 #include "nn/serialize.h"
@@ -70,7 +69,6 @@ std::string ParamBlob(rl::PolicyAgent& agent) {
 struct RunOutput {
   rl::TrainResult result;
   std::string params;
-  int cache_hits = 0;
   int attempts = 0;
   int retries = 0;
   int exhausted = 0;
@@ -91,7 +89,6 @@ RunOutput RunTraining(const Fixture& fix, int threads, int total_samples) {
   RunOutput out;
   out.result = rl::TrainAgent(*agent, env, options);
   out.params = ParamBlob(*agent);
-  out.cache_hits = env.cache_hits();
   out.attempts = env.attempts();
   out.retries = env.retries();
   out.exhausted = env.exhausted_evaluations();
@@ -124,7 +121,6 @@ void ExpectBitIdentical(const RunOutput& a, const RunOutput& b,
               b.result.history[i].best_so_far_seconds);
   }
   EXPECT_EQ(a.params, b.params);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.exhausted, b.exhausted);
@@ -187,8 +183,8 @@ TEST(EvalService, BatchMatchesSerialEvaluateExactly) {
   for (int i = 0; i < 12; ++i) {
     placements.push_back(agent->ToPlacement(agent->SampleDecision(sampler)));
   }
-  // Duplicate placements inside one batch: the in-round cache-hit
-  // accounting must mirror the interleaved serial run.
+  // Duplicate placements inside one batch must evaluate exactly as they
+  // do in the interleaved serial run.
   placements.push_back(placements[0]);
   placements.push_back(placements[5]);
 
@@ -225,12 +221,10 @@ TEST(EvalService, BatchMatchesSerialEvaluateExactly) {
     EXPECT_EQ(pool_results[i].attempts, serial_results[i].attempts);
   }
   EXPECT_EQ(pool_env.evaluations(), serial_env.evaluations());
-  EXPECT_EQ(pool_env.cache_hits(), serial_env.cache_hits());
   EXPECT_EQ(pool_env.attempts(), serial_env.attempts());
   EXPECT_EQ(pool_env.retries(), serial_env.retries());
   EXPECT_EQ(pool_env.backoff_seconds_total(),
             serial_env.backoff_seconds_total());
-  EXPECT_EQ(pool_env.cache().size(), serial_env.cache().size());
 }
 
 TEST(EvalService, KillAndResumeThroughParallelPath) {
@@ -326,13 +320,11 @@ TEST(EvalService, ResumeWithDifferentThreadCountStillMatches) {
 }
 
 // Concurrency stress for TSan: hammer one environment through a wide
-// service with duplicate-heavy batches so the cache, counters and fault
-// stream all see real contention.
+// service with duplicate-heavy batches so the simulator workspaces,
+// counters and fault stream all see real contention.
 TEST(EvalService, ConcurrentStress) {
   Fixture fix;
-  EnvironmentOptions env_options = fix.EnvOptions();
-  env_options.eval_cache_capacity = 32;  // force concurrent-era evictions
-  PlacementEnvironment env(fix.graph, fix.cluster, env_options);
+  PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
   EvalService service(env, 8);
   auto agent = fix.Agent(7);
   support::Rng sampler(8);
@@ -353,70 +345,6 @@ TEST(EvalService, ConcurrentStress) {
     ASSERT_EQ(results.size(), batch.size());
   }
   EXPECT_EQ(env.evaluations(), 8 * 48);
-  EXPECT_LE(env.cache().size(), 32 + static_cast<int>(EvalCache::kNumShards));
-}
-
-TEST(EvalCache, CapacityBoundsGrowth) {
-  EvalCache cache(/*max_entries=*/32);  // ceil(32/16) = 2 per shard
-  EXPECT_EQ(cache.max_entries(), 32);
-  sim::EvalResult result;
-  result.valid = true;
-  for (int i = 0; i < 200; ++i) {
-    result.per_step_seconds = static_cast<double>(i);
-    cache.InsertByHash(static_cast<std::uint64_t>(i),
-                       {static_cast<sim::DeviceId>(i), 1}, result);
-  }
-  EXPECT_LE(cache.size(), 32);
-  EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(EvalCache, EvictsLeastRecentlyUsedEntry) {
-  EvalCache cache(/*max_entries=*/32);  // 2 entries per shard
-  sim::EvalResult result;
-  result.valid = true;
-  const std::vector<sim::DeviceId> d0{0, 0}, d1{1, 1}, d2{2, 2};
-  // Hashes 0, 16, 32 all land in shard 0 (hash mod 16 == 0).
-  cache.InsertByHash(0, d0, result);
-  cache.InsertByHash(16, d1, result);
-  sim::EvalResult out;
-  EXPECT_TRUE(cache.LookupByHash(0, d0, &out));  // keep entry 0 hot
-  cache.InsertByHash(32, d2, result);            // shard full: evict LRU
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_TRUE(cache.LookupByHash(0, d0, &out));    // hot entry survived
-  EXPECT_FALSE(cache.LookupByHash(16, d1, &out));  // stale entry evicted
-  EXPECT_TRUE(cache.LookupByHash(32, d2, &out));
-  EXPECT_EQ(cache.size(), 2);
-}
-
-TEST(EvalCache, UnboundedByDefault) {
-  EvalCache cache;
-  EXPECT_EQ(cache.max_entries(), 0);
-  sim::EvalResult result;
-  result.valid = true;
-  for (int i = 0; i < 500; ++i) {
-    cache.Insert(sim::Placement::FromRaw({static_cast<std::int32_t>(i), 0,
-                                          1, 2}),
-                 result);
-  }
-  EXPECT_EQ(cache.size(), 500);
-  EXPECT_EQ(cache.evictions(), 0);
-}
-
-TEST(EvalCache, EnvironmentHonorsCapacityOption) {
-  Fixture fix;
-  EnvironmentOptions options = fix.EnvOptions();
-  options.faults = sim::FaultProfile{};  // noiseless accounting
-  options.eval_cache_capacity = 8;
-  PlacementEnvironment env(fix.graph, fix.cluster, options);
-  auto agent = fix.Agent(9);
-  support::Rng sampler(10);
-  for (int i = 0; i < 100; ++i) {
-    const auto placement = agent->ToPlacement(agent->SampleDecision(sampler));
-    support::Rng rng = sampler.Split(static_cast<std::uint64_t>(i));
-    env.Evaluate(placement, &rng);
-  }
-  EXPECT_LE(env.cache().size(), 8 + static_cast<int>(EvalCache::kNumShards));
-  EXPECT_GT(env.cache().evictions(), 0);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/env.h"
-#include "core/eval_cache.h"
 #include "models/synthetic.h"
 #include "sim/fault.h"
 #include "sim/measurement.h"
@@ -219,29 +218,6 @@ TEST(MeasurementNoise, NegativeStddevRejected) {
                std::logic_error);
 }
 
-TEST(EvalCache, HashCollisionNeverAliases) {
-  // Regression: the old unordered_map<hash, result> cache returned
-  // another placement's result on a 64-bit hash collision. Force one via
-  // the hash-explicit API.
-  core::EvalCache cache;
-  const std::vector<sim::DeviceId> a{1, 1, 2}, b{2, 1, 1};
-  sim::EvalResult result_a;
-  result_a.valid = true;
-  result_a.per_step_seconds = 1.0;
-  cache.InsertByHash(42, a, result_a);
-  EXPECT_NE(cache.FindByHash(42, a), nullptr);
-  EXPECT_EQ(cache.FindByHash(42, b), nullptr);  // collision: not aliased
-
-  sim::EvalResult result_b;
-  result_b.valid = true;
-  result_b.per_step_seconds = 2.0;
-  cache.InsertByHash(42, b, result_b);
-  EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.collisions(), 1);
-  EXPECT_DOUBLE_EQ(cache.FindByHash(42, a)->per_step_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(cache.FindByHash(42, b)->per_step_seconds, 2.0);
-}
-
 TEST(RetryPolicy, ExponentialGrowthWithCap) {
   support::RetryPolicy retry;
   retry.jitter_fraction = 0.0;
@@ -406,7 +382,6 @@ TEST(EnvironmentFaults, DisabledFaultsKeepLegacyBehavior) {
   const auto a = env.Evaluate(placement, nullptr);
   const auto b = env.Evaluate(placement, nullptr);
   ASSERT_TRUE(a.valid);
-  EXPECT_EQ(env.cache_hits(), 1);
   EXPECT_DOUBLE_EQ(a.per_step_seconds, b.per_step_seconds);
   EXPECT_EQ(env.transient_failures(), 0);
   EXPECT_EQ(env.retries(), 0);

@@ -128,15 +128,5 @@ TEST(Integration, ReducedBenchmarksTrainEndToEnd) {
   }
 }
 
-TEST(Integration, EvaluationCacheAcceleratesRevisits) {
-  auto graph = models::BuildParallelChains(2, 6, 1 << 14, 1e9);
-  const auto cluster = sim::MakeDefaultCluster();
-  core::PlacementEnvironment env(graph, cluster);
-  const auto placement = core::SingleGpuPlacement(graph, cluster);
-  support::Rng rng(29);
-  for (int i = 0; i < 5; ++i) env.Evaluate(placement, &rng);
-  EXPECT_EQ(env.cache_hits(), 4);
-}
-
 }  // namespace
 }  // namespace eagle

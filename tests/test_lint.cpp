@@ -82,7 +82,8 @@ TEST(LintRules, UnorderedIterationScopedToOrderedLayers) {
 
 TEST(LintRules, UnorderedIterationSeesCompanionHeader) {
   // Member declared in the header, iterated in the .cpp — the companion
-  // header parameter is what makes this visible (the EvalCache case).
+  // header parameter is what makes this visible (a class that declares
+  // its table in the header and walks it in the .cpp).
   const std::string header =
       "#pragma once\n#include <unordered_map>\n"
       "struct S { std::unordered_map<int, int> table; };\n";

@@ -366,7 +366,6 @@ struct RunOutput {
   rl::TrainResult result;
   std::string params;
   std::string checkpoint;  // final .ckpt bytes
-  int cache_hits = 0;
   int attempts = 0;
   int retries = 0;
   int exhausted = 0;
@@ -443,7 +442,6 @@ RunOutput RunTraining(const Fixture& fix, int threads, int total_samples,
   nn::SaveParams(agent->params(), params);
   out.params = params.str();
   out.checkpoint = ReadFileBytes(rl::CheckpointFilePath(dir, "run"));
-  out.cache_hits = env.cache_hits();
   out.attempts = env.attempts();
   out.retries = env.retries();
   out.exhausted = env.exhausted_evaluations();
@@ -478,7 +476,6 @@ void ExpectBitIdentical(const RunOutput& a, const RunOutput& b,
   }
   EXPECT_EQ(a.params, b.params);
   EXPECT_EQ(a.checkpoint, b.checkpoint);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.exhausted, b.exhausted);

@@ -151,14 +151,6 @@ TEST(Placement, CpuOnlyDragsColocationGroup) {
   EXPECT_EQ(placement.device(1), cluster.FirstCpu());
 }
 
-TEST(Placement, HashDiffers) {
-  OpGraph g = models::BuildChain(8);
-  const auto cluster = MakeDefaultCluster();
-  auto p1 = Placement::AllOnDevice(g, cluster, 1);
-  auto p2 = Placement::AllOnDevice(g, cluster, 2);
-  EXPECT_NE(p1.Hash(), p2.Hash());
-}
-
 TEST(Simulator, ChainSerializes) {
   // On one device a chain's step time is the sum of its op times.
   OpGraph g = models::BuildChain(10, 1 << 10, 1e9);

@@ -6,7 +6,7 @@
 // Per training run (one run_start/round.../run_end sequence): sample and
 // round counts, simulated hours, best per-step time, wall time, eval
 // latency percentiles (p50/p95/p99 interpolated from the span.eval.ticket
-// histogram buckets), cache hit rate and retry rate. A second table
+// histogram buckets) and retry rate. A second table
 // aggregates profiler spans by phase across every run in the file.
 //
 // Exits non-zero on an unreadable file, a JSON parse error, or a log with
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
 
   support::Table summary("run summary (" + path + ")");
   summary.SetHeader({"run", "samples", "rounds", "sim h", "best s/step",
-                     "wall s", "eval p50 ms", "p95 ms", "p99 ms", "hit rate",
+                     "wall s", "eval p50 ms", "p95 ms", "p99 ms",
                      "retry rate"});
   // Phase aggregation across runs: total calls and seconds per span name.
   std::map<std::string, std::pair<std::int64_t, double>> phases;
@@ -167,8 +167,6 @@ int main(int argc, char** argv) {
                          : std::string("OOM"),
          support::Table::Num(run.wall_seconds, 1), QuantileMs(eval, 0.50),
          QuantileMs(eval, 0.95), QuantileMs(eval, 0.99),
-         Pct(counter("env.cache_hits"),
-             counter("env.cache_hits") + counter("env.cache_misses")),
          Pct(counter("env.retries"), counter("env.attempts"))});
     for (const auto& [name, hist] : run.histograms) {
       if (name.rfind("span.", 0) != 0) continue;
