@@ -53,10 +53,7 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
       config_.grouper_locality_prior) {
     locality_prior_ = MakeLocalityPrior(graph, k);
   }
-  grouper_weight_ =
-      config_.grouper_logp_weight >= 0.0
-          ? config_.grouper_logp_weight
-          : static_cast<double>(k) / std::max(1, graph.num_ops());
+  grouper_weight_ = static_cast<double>(k) / std::max(1, graph.num_ops());
 }
 
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(

@@ -49,8 +49,6 @@ struct HierarchicalAgentConfig {
   // grouper-input design, not an EAGLE-vs-HP differentiator.
   bool grouper_locality_prior = true;
   graph::FeatureMode features = graph::FeatureMode::kReconstructed;
-  // <0: auto (num_groups / num_ops).
-  double grouper_logp_weight = -1.0;
   std::uint64_t seed = 1;
 };
 

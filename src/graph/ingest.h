@@ -1,13 +1,15 @@
 // Hardened graph ingestion: StatusOr parsers for untrusted input.
 //
-// graph_io.h's LoadText/LoadTextFile keep their original throwing
-// contract for internal callers that own their inputs (tests, zoo
-// builders). Everything that accepts a *user-supplied* graph file —
+// This is the one way to read a graph file (graph_io.h only writes
+// them). Everything that accepts a *user-supplied* graph file —
 // inspect_model --load, trace_placement --load, bench --load, zoo
-// registration of imported graphs — goes through this module instead:
-// no input, however malformed, makes these functions throw or abort.
-// Failures come back as a support::Status carrying an error-taxonomy
-// code and the file:line:column the problem was detected at.
+// registration of imported graphs — goes through this module: no input,
+// however malformed, makes these functions throw or abort. Failures
+// come back as a support::Status carrying an error-taxonomy code and the
+// file:line:column the problem was detected at. Every parsed graph is
+// validated (cycle check, then ValidateGraph) before it is returned. The
+// grammar machinery is shared with the cluster importer through
+// graph/text_ingest.h.
 //
 // Two formats are accepted:
 //   *.eg   — the line-based text format written by SaveText
@@ -31,10 +33,6 @@ struct IngestOptions {
   // Resource caps applied both during parsing (so a hostile file cannot
   // balloon memory before validation runs) and by ValidateGraph after.
   IngestLimits limits;
-  // Run ValidateGraph (cycle check, duplicate edges, byte arithmetic)
-  // on the parsed graph. Off only for tools that want to inspect a
-  // broken graph anyway.
-  bool validate = true;
   // Name used in diagnostics ("<input>" for in-memory strings;
   // ImportGraphFile overrides it with the path).
   std::string source_name = "<input>";

@@ -1,8 +1,5 @@
 #include "sim/cluster_ingest.h"
 
-#include <cmath>
-#include <cstdint>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <set>
@@ -12,57 +9,22 @@
 #include <utility>
 #include <vector>
 
-#include "graph/parse_num.h"
+#include "graph/text_ingest.h"
 #include "support/json.h"
 
 namespace eagle::sim {
 
+namespace reader = graph::reader;
+using reader::JsonCtx;
+using reader::Quote;
+using reader::Range;
+using reader::TextLine;
 using support::ErrorCode;
 using support::Status;
 using support::StatusOr;
+namespace json = support::json;
 
 namespace {
-
-// A whitespace-delimited token and the 1-based column it starts at.
-struct Tok {
-  std::string_view text;
-  int col = 0;
-};
-
-void TokenizeLine(const std::string& line, std::vector<Tok>* out) {
-  out->clear();
-  const std::string_view sv(line);
-  std::size_t i = 0;
-  while (i < sv.size()) {
-    if (sv[i] == ' ' || sv[i] == '\t') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < sv.size() && sv[j] != ' ' && sv[j] != '\t') ++j;
-    out->push_back(Tok{sv.substr(i, j - i), static_cast<int>(i) + 1});
-    i = j;
-  }
-}
-
-// Classifies a failed numeric conversion: a token that *tried* to be a
-// number is an overflow, anything else is a syntax error.
-ErrorCode NumericFailCode(std::string_view token) {
-  return graph::LooksNumeric(token) ? ErrorCode::kNumericOverflow
-                                    : ErrorCode::kSyntax;
-}
-
-// Exact double→int64 conversion for JSON quantities; false on
-// non-finite, fractional, or out-of-range values (a bare static_cast
-// would be undefined behaviour on those).
-bool JsonToInt64(double v, std::int64_t* out) {
-  if (!std::isfinite(v) || std::floor(v) != v) return false;
-  if (v < -9223372036854775808.0 || v >= 9223372036854775808.0) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-std::string Quote(std::string_view s) { return "'" + std::string(s) + "'"; }
 
 // Shared parser state: name→id resolution, string channel labels mapped
 // to dense integer labels in first-use order, duplicate-link detection.
@@ -72,7 +34,9 @@ struct Builder {
   std::map<std::string, int, std::less<>> channel_labels;
   std::set<std::pair<DeviceId, DeviceId>> link_pairs;
 
+  // -1 (no shared channel) for an unlabelled link.
   int ChannelLabel(std::string_view name) {
+    if (name.empty()) return -1;
     const auto it = channel_labels.find(name);
     if (it != channel_labels.end()) return it->second;
     const int label = static_cast<int>(channel_labels.size());
@@ -80,6 +44,13 @@ struct Builder {
     return label;
   }
 };
+
+// The device kinds, spelled alike in both formats.
+bool KindFromName(std::string_view name, DeviceKind* kind) {
+  if (name != "cpu" && name != "gpu") return false;
+  *kind = name == "cpu" ? DeviceKind::kCPU : DeviceKind::kGPU;
+  return true;
+}
 
 // Caps + duplicate-name guard applied before a device is admitted.
 Status CheckAddDevice(Builder* b, DeviceSpec device,
@@ -126,389 +97,140 @@ Status CheckAddLink(Builder* b, DeviceId src, DeviceId dst, LinkSpec link,
   return Status::Ok();
 }
 
-Status FinishValidate(const ClusterSpec& cluster,
-                      const ClusterIngestOptions& opts) {
-  if (!opts.validate) return Status::Ok();
-  Status status = cluster.Validate();
-  if (!status.ok()) return status.At(opts.source_name);
-  return Status::Ok();
-}
-
 StatusOr<ClusterSpec> ParseTextImpl(std::istream& in,
                                     const ClusterIngestOptions& opts) {
   Builder b;
   const std::string& src_name = opts.source_name;
-
-  std::string line;
-  std::vector<Tok> toks;
-  int lineno = 0;
   bool saw_default_link = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    TokenizeLine(line, &toks);
-    if (toks.empty() || toks[0].text[0] == '#') continue;
 
+  Status status = reader::ForEachLine(in, src_name, [&](const TextLine& line) {
+    const std::vector<reader::Tok>& toks = line.toks;
     if (toks[0].text == "device") {
       if (toks.size() < 3) {
-        return Status::Error(
-                   ErrorCode::kSyntax,
-                   "device line needs: device <name> <cpu|gpu> [attrs]")
-            .At(src_name, lineno, toks[0].col);
+        return line.Error(
+            ErrorCode::kSyntax,
+            "device line needs: device <name> <cpu|gpu> [attrs]", toks[0].col);
       }
       DeviceSpec device;
       device.name = std::string(toks[1].text);
-      if (toks[2].text == "cpu") {
-        device.kind = DeviceKind::kCPU;
-      } else if (toks[2].text == "gpu") {
-        device.kind = DeviceKind::kGPU;
-      } else {
-        return Status::Error(ErrorCode::kSyntax,
-                             "device kind must be 'cpu' or 'gpu', got " +
-                                 Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+      if (!KindFromName(toks[2].text, &device.kind)) {
+        return line.Error(ErrorCode::kSyntax,
+                          "device kind must be 'cpu' or 'gpu', got " +
+                              Quote(toks[2].text),
+                          toks[2].col);
       }
-      for (std::size_t t = 3; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("gflops=", 0) == 0) {
-          const std::string_view val = attr.substr(7);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad gflops value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "gflops must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          device.gflops = v;
-        } else if (attr.rfind("mem_bw=", 0) == 0) {
-          const std::string_view val = attr.substr(7);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad mem_bw value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "mem_bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          device.mem_bw_gbps = v;
-        } else if (attr.rfind("overhead=", 0) == 0) {
-          const std::string_view val = attr.substr(9);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad overhead value " + Quote(val))
-                .At(src_name, lineno, col + 9);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative overhead value " + Quote(val))
-                .At(src_name, lineno, col + 9);
-          }
-          device.launch_overhead_us = v;
-        } else if (attr.rfind("mem=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          std::int64_t v = 0;
-          if (!graph::ParseInt64(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad mem value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative mem value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          device.memory_bytes = v;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown device attribute " + Quote(attr))
-              .At(src_name, lineno, col);
-        }
-      }
-      Status status = CheckAddDevice(&b, std::move(device), opts.limits);
-      if (!status.ok()) return status.At(src_name, lineno, toks[1].col);
-    } else if (toks[0].text == "default_link") {
+      Status attrs = line.ReadAttrs(
+          3,
+          {{"gflops", &device.gflops, Range::kPositive},
+           {"mem_bw", &device.mem_bw_gbps, Range::kPositive},
+           {"overhead", &device.launch_overhead_us, Range::kNonNegative},
+           {"mem", &device.memory_bytes, Range::kNonNegative}},
+          "device attribute");
+      if (!attrs.ok()) return attrs;
+      Status added = CheckAddDevice(&b, std::move(device), opts.limits);
+      if (!added.ok()) return added.At(src_name, line.number, toks[1].col);
+      return Status::Ok();
+    }
+    if (toks[0].text == "default_link") {
       if (saw_default_link) {
-        return Status::Error(ErrorCode::kSyntax,
-                             "duplicate default_link directive")
-            .At(src_name, lineno, toks[0].col);
+        return line.Error(ErrorCode::kSyntax,
+                          "duplicate default_link directive", toks[0].col);
       }
       LinkSpec link;
-      for (std::size_t t = 1; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("bw=", 0) == 0) {
-          const std::string_view val = attr.substr(3);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad bw value " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          link.bandwidth_gbps = v;
-        } else if (attr.rfind("lat=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          link.latency_us = v;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown default_link attribute " +
-                                   Quote(attr))
-              .At(src_name, lineno, col);
-        }
-      }
+      Status attrs = line.ReadAttrs(
+          1,
+          {{"bw", &link.bandwidth_gbps, Range::kPositive},
+           {"lat", &link.latency_us, Range::kNonNegative}},
+          "default_link attribute");
+      if (!attrs.ok()) return attrs;
       b.cluster.SetDefaultLink(link);
       saw_default_link = true;
-    } else if (toks[0].text == "link") {
+      return Status::Ok();
+    }
+    if (toks[0].text == "link") {
       if (toks.size() < 3) {
-        return Status::Error(
-                   ErrorCode::kSyntax,
-                   "link line needs: link <src> <dst> [bw=] [lat=] "
-                   "[chan=] [bidir]")
-            .At(src_name, lineno, toks[0].col);
+        return line.Error(ErrorCode::kSyntax,
+                          "link line needs: link <src> <dst> [bw=] [lat=] "
+                          "[chan=] [bidir]",
+                          toks[0].col);
       }
-      const auto sit = b.device_ids.find(toks[1].text);
-      if (sit == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown device " + Quote(toks[1].text))
-            .At(src_name, lineno, toks[1].col);
-      }
-      const auto dit = b.device_ids.find(toks[2].text);
-      if (dit == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown device " + Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+      DeviceId ends[2] = {-1, -1};
+      for (int k = 0; k < 2; ++k) {
+        const auto it = b.device_ids.find(toks[1 + k].text);
+        if (it == b.device_ids.end()) {
+          return line.Error(ErrorCode::kDanglingRef,
+                            "unknown device " + Quote(toks[1 + k].text),
+                            toks[1 + k].col);
+        }
+        ends[k] = it->second;
       }
       LinkSpec link;
-      int channel_label = -1;
+      std::string channel;
       bool bidir = false;
-      for (std::size_t t = 3; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("bw=", 0) == 0) {
-          const std::string_view val = attr.substr(3);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad bw value " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          link.bandwidth_gbps = v;
-        } else if (attr.rfind("lat=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          link.latency_us = v;
-        } else if (attr.rfind("chan=", 0) == 0) {
-          const std::string_view val = attr.substr(5);
-          if (val.empty()) {
-            return Status::Error(ErrorCode::kSyntax,
-                                 "empty channel label")
-                .At(src_name, lineno, col + 5);
-          }
-          channel_label = b.ChannelLabel(val);
-        } else if (attr == "bidir") {
-          bidir = true;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown link attribute " + Quote(attr))
-              .At(src_name, lineno, col);
-        }
-      }
-      Status status = CheckAddLink(&b, sit->second, dit->second, link,
-                                   channel_label, bidir);
-      if (!status.ok()) return status.At(src_name, lineno, toks[1].col);
-    } else {
-      return Status::Error(ErrorCode::kSyntax,
-                           "unknown directive " + Quote(toks[0].text))
-          .At(src_name, lineno, toks[0].col);
+      Status attrs = line.ReadAttrs(
+          3,
+          {{"bw", &link.bandwidth_gbps, Range::kPositive},
+           {"lat", &link.latency_us, Range::kNonNegative},
+           {"chan", &channel, Range::kNonEmpty, "channel label"},
+           {"bidir", &bidir}},
+          "link attribute");
+      if (!attrs.ok()) return attrs;
+      Status added = CheckAddLink(&b, ends[0], ends[1], link,
+                                  b.ChannelLabel(channel), bidir);
+      if (!added.ok()) return added.At(src_name, line.number, toks[1].col);
+      return Status::Ok();
     }
-  }
-  if (in.bad()) {
-    return Status::Error(ErrorCode::kIo, "read error").At(src_name, lineno);
-  }
-
-  Status status = FinishValidate(b.cluster, opts);
+    return line.Error(ErrorCode::kSyntax,
+                      "unknown directive " + Quote(toks[0].text), toks[0].col);
+  });
   if (!status.ok()) return status;
+
+  status = b.cluster.Validate();
+  if (!status.ok()) return status.At(src_name);
   return std::move(b.cluster);
-}
-
-// 1-based line:column of a byte offset, for JSON syntax diagnostics.
-void LineColAt(const std::string& text, std::size_t offset, int* line,
-               int* col) {
-  *line = 1;
-  *col = 1;
-  for (std::size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      ++*line;
-      *col = 1;
-    } else {
-      ++*col;
-    }
-  }
-}
-
-// A positive finite rate field ("gflops", "bandwidth_gbps", ...);
-// false leaves *dest untouched and the caller reports the error.
-bool JsonRate(const support::json::Value* v, double* dest) {
-  if (v == nullptr) return true;
-  if (!v->is_number() || !std::isfinite(v->number()) || v->number() <= 0.0) {
-    return false;
-  }
-  *dest = v->number();
-  return true;
-}
-
-// A non-negative finite cost field ("launch_overhead_us", "latency_us").
-bool JsonCost(const support::json::Value* v, double* dest) {
-  if (v == nullptr) return true;
-  if (!v->is_number() || !std::isfinite(v->number()) || v->number() < 0.0) {
-    return false;
-  }
-  *dest = v->number();
-  return true;
 }
 
 StatusOr<ClusterSpec> FromJsonImpl(const std::string& text,
                                    const ClusterIngestOptions& opts) {
-  namespace json = support::json;
   const std::string& src_name = opts.source_name;
-
-  std::string parse_error;
-  std::size_t error_offset = 0;
-  const json::Value root =
-      json::Value::Parse(text, &parse_error, &error_offset);
-  if (!parse_error.empty()) {
-    int line = 0, col = 0;
-    LineColAt(text, error_offset, &line, &col);
-    return Status::Error(ErrorCode::kSyntax, "JSON " + parse_error)
-        .At(src_name, line, col);
-  }
-  if (!root.is_object()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "top-level JSON value must be an object")
-        .At(src_name, 1, 1);
-  }
-  const json::Value* jdevices = root.Find("devices");
-  if (jdevices == nullptr || !jdevices->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"devices\" field")
-        .At(src_name);
-  }
-  const json::Value* jlinks = root.Find("links");
-  if (jlinks == nullptr || !jlinks->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"links\" field")
-        .At(src_name);
-  }
+  json::Value root;
+  Status status =
+      reader::ParseJsonRoot(text, src_name, {"devices", "links"}, &root);
+  if (!status.ok()) return status;
 
   Builder b;
 
-  for (std::size_t i = 0; i < jdevices->items().size(); ++i) {
-    const json::Value& jdev = jdevices->items()[i];
-    const std::string ctx = "devices[" + std::to_string(i) + "]";
-    if (!jdev.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
+  const auto read_device = [&](const json::Value& jdev, const JsonCtx& ctx) {
     DeviceSpec device;
-
     const json::Value* name = jdev.Find("name");
     if (name == nullptr || !name->is_string() ||
         name->string_value().empty()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + " has a missing or empty \"name\"")
-          .At(src_name);
+      return ctx.Error(ErrorCode::kSyntax, " has a missing or empty \"name\"");
     }
     device.name = name->string_value();
 
     const json::Value* kind = jdev.Find("kind");
     if (kind == nullptr || !kind->is_string()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " has a missing \"kind\"")
-          .At(src_name);
+      return ctx.Error(ErrorCode::kSyntax, " has a missing \"kind\"");
     }
-    if (kind->string_value() == "cpu") {
-      device.kind = DeviceKind::kCPU;
-    } else if (kind->string_value() == "gpu") {
-      device.kind = DeviceKind::kGPU;
-    } else {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + ": \"kind\" must be \"cpu\" or \"gpu\", got " +
-                               Quote(kind->string_value()))
-          .At(src_name);
+    if (!KindFromName(kind->string_value(), &device.kind)) {
+      return ctx.Error(ErrorCode::kSyntax,
+                       ": \"kind\" must be \"cpu\" or \"gpu\", got " +
+                           Quote(kind->string_value()));
     }
 
-    if (!JsonRate(jdev.Find("gflops"), &device.gflops)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"gflops\" value")
-          .At(src_name);
-    }
-    if (!JsonRate(jdev.Find("mem_bw_gbps"), &device.mem_bw_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"mem_bw_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jdev.Find("launch_overhead_us"),
-                  &device.launch_overhead_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"launch_overhead_us\" value")
-          .At(src_name);
-    }
-    const json::Value* mem = jdev.Find("memory_bytes");
-    if (mem != nullptr) {
-      std::int64_t v = 0;
-      if (!mem->is_number() || !JsonToInt64(mem->number(), &v) || v < 0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"memory_bytes\" value")
-            .At(src_name);
-      }
-      device.memory_bytes = v;
-    }
-
-    Status status = CheckAddDevice(&b, std::move(device), opts.limits);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
-  }
+    Status fields = ctx.ReadFields(
+        jdev,
+        {{"gflops", &device.gflops, Range::kPositive},
+         {"mem_bw_gbps", &device.mem_bw_gbps, Range::kPositive},
+         {"launch_overhead_us", &device.launch_overhead_us,
+          Range::kNonNegative},
+         {"memory_bytes", &device.memory_bytes, Range::kNonNegative}});
+    if (!fields.ok()) return fields;
+    return ctx.Wrap(CheckAddDevice(&b, std::move(device), opts.limits));
+  };
+  status = reader::ForEachObject(root, "devices", src_name, read_device);
+  if (!status.ok()) return status;
 
   const json::Value* jdefault = root.Find("default_link");
   if (jdefault != nullptr) {
@@ -518,115 +240,57 @@ StatusOr<ClusterSpec> FromJsonImpl(const std::string& text,
           .At(src_name);
     }
     LinkSpec link;
-    if (!JsonRate(jdefault->Find("bandwidth_gbps"), &link.bandwidth_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           "default_link has a bad \"bandwidth_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jdefault->Find("latency_us"), &link.latency_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           "default_link has a bad \"latency_us\" value")
-          .At(src_name);
-    }
+    status = JsonCtx{src_name, "default_link"}.ReadFields(
+        *jdefault, {{"bandwidth_gbps", &link.bandwidth_gbps, Range::kPositive},
+                    {"latency_us", &link.latency_us, Range::kNonNegative}});
+    if (!status.ok()) return status;
     b.cluster.SetDefaultLink(link);
   }
 
-  for (std::size_t i = 0; i < jlinks->items().size(); ++i) {
-    const json::Value& jlink = jlinks->items()[i];
-    const std::string ctx = "links[" + std::to_string(i) + "]";
-    if (!jlink.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
+  const auto read_link = [&](const json::Value& jlink, const JsonCtx& ctx) {
     DeviceId endpoints[2] = {-1, -1};
     const char* endpoint_keys[2] = {"src", "dst"};
     for (int k = 0; k < 2; ++k) {
-      const json::Value* v = jlink.Find(endpoint_keys[k]);
+      const std::string key = endpoint_keys[k];
+      const json::Value* v = jlink.Find(key);
       if (v == nullptr || !v->is_string()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a missing or non-string \"" +
-                                 std::string(endpoint_keys[k]) + "\"")
-            .At(src_name);
+        return ctx.Error(ErrorCode::kSyntax,
+                         " has a missing or non-string \"" + key + "\"");
       }
       const auto it = b.device_ids.find(v->string_value());
       if (it == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             ctx + ": \"" + std::string(endpoint_keys[k]) +
-                                 "\" " + Quote(v->string_value()) +
-                                 " names no declared device")
-            .At(src_name);
+        return ctx.Error(ErrorCode::kDanglingRef,
+                         ": \"" + key + "\" " + Quote(v->string_value()) +
+                             " names no declared device");
       }
       endpoints[k] = it->second;
     }
     LinkSpec link;
-    if (!JsonRate(jlink.Find("bandwidth_gbps"), &link.bandwidth_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"bandwidth_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jlink.Find("latency_us"), &link.latency_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"latency_us\" value")
-          .At(src_name);
-    }
-    int channel_label = -1;
-    const json::Value* chan = jlink.Find("channel");
-    if (chan != nullptr) {
-      if (!chan->is_string() || chan->string_value().empty()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-string or empty \"channel\"")
-            .At(src_name);
-      }
-      channel_label = b.ChannelLabel(chan->string_value());
-    }
+    std::string channel;
     bool bidir = false;
-    const json::Value* jbidir = jlink.Find("bidir");
-    if (jbidir != nullptr) {
-      if (!jbidir->is_bool()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-boolean \"bidir\"")
-            .At(src_name);
-      }
-      bidir = jbidir->bool_value();
-    }
-    Status status = CheckAddLink(&b, endpoints[0], endpoints[1], link,
-                                 channel_label, bidir);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
-  }
-
-  Status status = FinishValidate(b.cluster, opts);
+    Status fields = ctx.ReadFields(
+        jlink, {{"bandwidth_gbps", &link.bandwidth_gbps, Range::kPositive},
+                {"latency_us", &link.latency_us, Range::kNonNegative},
+                {"channel", &channel, Range::kNonEmpty},
+                {"bidir", &bidir}});
+    if (!fields.ok()) return fields;
+    return ctx.Wrap(CheckAddLink(&b, endpoints[0], endpoints[1], link,
+                                 b.ChannelLabel(channel), bidir));
+  };
+  status = reader::ForEachObject(root, "links", src_name, read_link);
   if (!status.ok()) return status;
-  return std::move(b.cluster);
-}
 
-// Belt and braces for the no-throw contract: nothing in the impls
-// should throw (every precondition is pre-checked before the EAGLE_CHECK
-// guards in ClusterSpec can fire), but a latent bug must surface as a
-// Status, not a terminate().
-template <typename Fn>
-StatusOr<ClusterSpec> NoThrow(const ClusterIngestOptions& opts, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::bad_alloc&) {
-    return Status::Error(ErrorCode::kResourceLimit,
-                         "out of memory while parsing")
-        .At(opts.source_name);
-  } catch (const std::exception& e) {
-    return Status::Error(ErrorCode::kSyntax,
-                         std::string("internal parser error: ") + e.what())
-        .At(opts.source_name);
-  }
+  status = b.cluster.Validate();
+  if (!status.ok()) return status.At(src_name);
+  return std::move(b.cluster);
 }
 
 }  // namespace
 
 StatusOr<ClusterSpec> ParseTextCluster(std::istream& in,
                                        const ClusterIngestOptions& opts) {
-  return NoThrow(opts, [&] { return ParseTextImpl(in, opts); });
+  return reader::NoThrow(opts.source_name,
+                         [&] { return ParseTextImpl(in, opts); });
 }
 
 StatusOr<ClusterSpec> ParseTextCluster(const std::string& text,
@@ -637,28 +301,14 @@ StatusOr<ClusterSpec> ParseTextCluster(const std::string& text,
 
 StatusOr<ClusterSpec> ClusterFromJson(const std::string& text,
                                       const ClusterIngestOptions& opts) {
-  return NoThrow(opts, [&] { return FromJsonImpl(text, opts); });
+  return reader::NoThrow(opts.source_name,
+                         [&] { return FromJsonImpl(text, opts); });
 }
 
 StatusOr<ClusterSpec> ImportClusterFile(const std::string& path,
                                         const ClusterIngestOptions& opts) {
-  ClusterIngestOptions file_opts = opts;
-  file_opts.source_name = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Error(ErrorCode::kIo, "cannot open cluster file").At(path);
-  }
-  const bool is_json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (is_json) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-      return Status::Error(ErrorCode::kIo, "read error").At(path);
-    }
-    return ClusterFromJson(buffer.str(), file_opts);
-  }
-  return ParseTextCluster(in, file_opts);
+  return reader::ImportFile(path, "cluster", opts, ParseTextCluster,
+                            ClusterFromJson);
 }
 
 StatusOr<ClusterSpec> ResolveCluster(const std::string& spec,

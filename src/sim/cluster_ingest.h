@@ -7,7 +7,9 @@
 // back as a support::Status carrying the shared graph-ingestion error
 // taxonomy code and the file:line:column the problem was detected at
 // (docs/GRAPH_FORMATS.md defines the codes, docs/SIMULATOR.md the
-// grammar).
+// grammar). Every parsed spec passes ClusterSpec::Validate() before it
+// is returned. The tokenizer, field readers and file dispatch are the
+// graph importer's (graph/text_ingest.h).
 //
 // Two formats are accepted:
 //   *.ec   — a line-based text format:
@@ -35,10 +37,6 @@ struct ClusterLimits {
 
 struct ClusterIngestOptions {
   ClusterLimits limits;
-  // Run ClusterSpec::Validate() on the parsed cluster (rate/cost sanity,
-  // unconfigured-link detection). Off only for tools that want to
-  // inspect a broken spec anyway.
-  bool validate = true;
   // Name used in diagnostics ("<input>" for in-memory strings;
   // ImportClusterFile overrides it with the path).
   std::string source_name = "<input>";

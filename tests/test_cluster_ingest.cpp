@@ -1,10 +1,10 @@
 // Cluster-spec ingestion and device-model tests: the malformed-fixture
-// corpus (tests/cluster_fixtures/, one code+line assertion per case), the
-// happy-path .ec/.json grammars including channel labels and the default
-// tier, ResolveCluster name dispatch, the hierarchical builders, and the
-// PR's device-model bugfix regressions (dense channel re-indexing under
-// AddDevice interleaving, zero-cost self transfers, unconfigured-link
-// validation, MakeScaledCluster status propagation).
+// corpus (tests/cluster_fixtures/, one code/line/column/message assertion
+// per case), the happy-path .ec/.json grammars including channel labels
+// and the default tier, ResolveCluster name dispatch, the hierarchical
+// builders, and the PR's device-model bugfix regressions (dense channel
+// re-indexing under AddDevice interleaving, zero-cost self transfers,
+// unconfigured-link validation, MakeScaledCluster status propagation).
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -37,13 +37,15 @@ std::string ShippedClusterPath(const std::string& name) {
 
 // ---------------------------------------------------------------------------
 // The malformed-fixture corpus: every file must come back as the
-// manifest's taxonomy code, at the manifest's line, never as a throw.
+// manifest's taxonomy code, line, column and message, never as a throw.
 
 struct FixtureCase {
   std::string file;
   ErrorCode code = ErrorCode::kOk;
-  int line = -1;  // -1: no line attribution expected
+  int line = 0;  // 0: no line attribution expected
+  int col = 0;   // 0: no column attribution expected
   bool tiny = false;
+  std::string message;
 };
 
 std::vector<FixtureCase> ReadManifest() {
@@ -53,14 +55,18 @@ std::vector<FixtureCase> ReadManifest() {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
+    const std::size_t bar = line.find(" | ");
+    EXPECT_NE(bar, std::string::npos) << "no message in MANIFEST: " << line;
+    std::istringstream fields(line.substr(0, bar));
     FixtureCase c;
-    std::string code, line_spec, flag;
-    fields >> c.file >> code >> line_spec >> flag;
+    std::string code, line_spec, col_spec, flag;
+    fields >> c.file >> code >> line_spec >> col_spec >> flag;
     EXPECT_TRUE(support::ErrorCodeFromName(code, &c.code))
         << "bad code in MANIFEST: " << line;
     if (line_spec != "-") c.line = std::stoi(line_spec);
+    if (col_spec != "-") c.col = std::stoi(col_spec);
     c.tiny = flag == "tiny";
+    if (bar != std::string::npos) c.message = line.substr(bar + 3);
     cases.push_back(std::move(c));
   }
   return cases;
@@ -80,10 +86,10 @@ TEST(ClusterFixtureCorpus, EveryFixtureFailsWithItsDocumentedCodeAndLine) {
               std::string(support::ErrorCodeName(c.code)))
         << c.file << ": " << status.ToString();
     EXPECT_EQ(status.file(), path) << status.ToString();
-    if (c.line >= 0) {
-      EXPECT_EQ(status.line(), c.line) << c.file << ": " << status.ToString();
-    }
-    EXPECT_FALSE(status.message().empty());
+    EXPECT_EQ(status.line(), c.line) << c.file << ": " << status.ToString();
+    EXPECT_EQ(std::make_pair(status.column(), status.message()),
+              std::make_pair(c.col, c.message))
+        << c.file << ": " << status.ToString();
   }
 }
 

@@ -1,9 +1,9 @@
 // Hardened-ingestion tests: the Status taxonomy, the checked numeric
 // conversions, the malformed-fixture corpus (tests/graph_fixtures/, one
-// line-exact assertion per taxonomy code), byte-identical round-trips
-// through both serialization formats, a deterministic mutation-fuzz
-// smoke, a stress-scale end-to-end run, ValidateGraph semantics, and the
-// imported-graph zoo registry.
+// code/line/column/message-exact assertion per case), byte-identical
+// round-trips through both serialization formats, a deterministic
+// mutation-fuzz smoke, a stress-scale end-to-end run, ValidateGraph
+// semantics, and the imported-graph zoo registry.
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -157,8 +157,10 @@ TEST(ParseNum, LooksNumericClassifiesFailedConversions) {
 struct FixtureCase {
   std::string file;
   ErrorCode code = ErrorCode::kOk;
-  int line = -1;  // -1: no line attribution expected
+  int line = 0;  // 0: no line attribution expected
+  int col = 0;   // 0: no column attribution expected
   bool tiny = false;
+  std::string message;
 };
 
 std::vector<FixtureCase> ReadManifest() {
@@ -168,14 +170,18 @@ std::vector<FixtureCase> ReadManifest() {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
+    const std::size_t bar = line.find(" | ");
+    EXPECT_NE(bar, std::string::npos) << "no message in MANIFEST: " << line;
+    std::istringstream fields(line.substr(0, bar));
     FixtureCase c;
-    std::string code, line_spec, flag;
-    fields >> c.file >> code >> line_spec >> flag;
+    std::string code, line_spec, col_spec, flag;
+    fields >> c.file >> code >> line_spec >> col_spec >> flag;
     EXPECT_TRUE(support::ErrorCodeFromName(code, &c.code))
         << "bad code in MANIFEST: " << line;
     if (line_spec != "-") c.line = std::stoi(line_spec);
+    if (col_spec != "-") c.col = std::stoi(col_spec);
     c.tiny = flag == "tiny";
+    if (bar != std::string::npos) c.message = line.substr(bar + 3);
     cases.push_back(std::move(c));
   }
   return cases;
@@ -199,11 +205,10 @@ TEST(FixtureCorpus, EveryFixtureFailsWithItsDocumentedCodeAndLine) {
               std::string(support::ErrorCodeName(c.code)))
         << c.file << ": " << status.ToString();
     EXPECT_EQ(status.file(), path) << status.ToString();
-    if (c.line >= 0) {
-      EXPECT_EQ(status.line(), c.line)
-          << c.file << ": " << status.ToString();
-    }
-    EXPECT_FALSE(status.message().empty());
+    EXPECT_EQ(status.line(), c.line) << c.file << ": " << status.ToString();
+    EXPECT_EQ(std::make_pair(status.column(), status.message()),
+              std::make_pair(c.col, c.message))
+        << c.file << ": " << status.ToString();
   }
 }
 

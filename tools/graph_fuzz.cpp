@@ -26,6 +26,7 @@
 // tools.
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -70,8 +71,14 @@ std::string Serialize(const graph::OpGraph& graph, bool json) {
   return os.str();
 }
 
-int RunFuzz(const std::string& path, bool json, int iters,
-            std::uint64_t seed) {
+// Stacked-mutation fuzz loop shared by the graph and cluster importers:
+// corrupts copies of the file at `path` and feeds each to `parse`,
+// histogramming the error-taxonomy codes. The contract under test is the
+// same for both — every mutant comes back as a structured Status, never
+// a crash or a throw.
+int RunFuzz(const std::string& path, const char* label, const char* format,
+            int iters, std::uint64_t seed,
+            const std::function<support::Status(const std::string&)>& parse) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "graph_fuzz: cannot open %s\n", path.c_str());
@@ -91,59 +98,9 @@ int RunFuzz(const std::string& path, bool json, int iters,
     for (int d = 0; d < depth; ++d) {
       mutant = models::MutateSerializedGraph(mutant, rng);
     }
-    const support::StatusOr<graph::OpGraph> parsed =
-        json ? graph::FromJson(mutant)
-             : graph::ParseTextGraph(mutant);
-    if (parsed.ok()) {
-      ++histogram["ok"];
-    } else {
-      ++histogram[support::ErrorCodeName(parsed.status().code())];
-    }
+    ++histogram[support::ErrorCodeName(parse(mutant).code())];
   }
-  std::printf("%d mutants of %s (%s):\n", iters, path.c_str(),
-              json ? "json" : "eg");
-  for (const auto& [code, count] : histogram) {
-    std::printf("  %-17s %d\n", code.c_str(), count);
-  }
-  return 0;
-}
-
-// Cluster-spec mutation fuzz: the same stacked-corruption loop as
-// RunFuzz, pointed at the cluster importer. The contract under test is
-// identical — every mutant must come back as a structured Status from
-// the shared taxonomy, never a crash or a throw.
-int RunClusterFuzz(const std::string& path, bool json, int iters,
-                   std::uint64_t seed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "graph_fuzz: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string base = buffer.str();
-
-  support::Rng rng(seed);
-  std::map<std::string, int> histogram;
-  for (int i = 0; i < iters; ++i) {
-    std::string mutant = base;
-    const int depth = 1 + static_cast<int>(rng.NextBelow(3));
-    for (int d = 0; d < depth; ++d) {
-      mutant = models::MutateSerializedGraph(mutant, rng);
-    }
-    sim::ClusterIngestOptions opts;
-    opts.source_name = json ? "<mutant.json>" : "<mutant.ec>";
-    const support::StatusOr<sim::ClusterSpec> parsed =
-        json ? sim::ClusterFromJson(mutant, opts)
-             : sim::ParseTextCluster(mutant, opts);
-    if (parsed.ok()) {
-      ++histogram["ok"];
-    } else {
-      ++histogram[support::ErrorCodeName(parsed.status().code())];
-    }
-  }
-  std::printf("%d cluster mutants of %s (%s):\n", iters, path.c_str(),
-              json ? "json" : "ec");
+  std::printf("%d %s of %s (%s):\n", iters, label, path.c_str(), format);
   for (const auto& [code, count] : histogram) {
     std::printf("  %-17s %d\n", code.c_str(), count);
   }
@@ -218,6 +175,7 @@ int main(int argc, char** argv) {
   const std::string mode = args.GetString("mode");
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed"));
   const int ops = static_cast<int>(args.GetInt("ops"));
+  const int iters = static_cast<int>(args.GetInt("iters"));
   const std::string format_flag = args.GetString("format");
   auto is_json = [&](const std::string& path) {
     if (!format_flag.empty()) return format_flag == "json";
@@ -248,8 +206,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "graph_fuzz: --mode=fuzz needs --in\n");
       return 2;
     }
-    return RunFuzz(in_path, is_json(in_path),
-                   static_cast<int>(args.GetInt("iters")), seed);
+    const bool json = is_json(in_path);
+    return RunFuzz(in_path, "mutants", json ? "json" : "eg", iters, seed,
+                   [json](const std::string& m) {
+                     return json ? graph::FromJson(m).status()
+                                 : graph::ParseTextGraph(m).status();
+                   });
   }
   if (mode == "cluster-fuzz") {
     const std::string in_path = args.GetString("in");
@@ -257,8 +219,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "graph_fuzz: --mode=cluster-fuzz needs --in\n");
       return 2;
     }
-    return RunClusterFuzz(in_path, is_json(in_path),
-                          static_cast<int>(args.GetInt("iters")), seed);
+    const bool json = is_json(in_path);
+    return RunFuzz(in_path, "cluster mutants", json ? "json" : "ec", iters,
+                   seed, [json](const std::string& m) {
+                     return json ? sim::ClusterFromJson(m).status()
+                                 : sim::ParseTextCluster(m).status();
+                   });
   }
   if (mode == "e2e") {
     support::StatusOr<sim::ClusterSpec> resolved =
