@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   }
   for (auto benchmark : config.benchmarks) {
     for (std::size_t i = 0; i < std::size(variants); ++i) {
-      auto context = bench::MakeContext(benchmark, &config);
+      auto context = bench::MakeContext(benchmark, config);
       rows[i].push_back(
           bench::FormatResult(RunVariant(variants[i], context, config)));
     }

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{models::BenchmarkName(benchmark)};
     for (auto baseline :
          {rl::BaselineKind::kEma, rl::BaselineKind::kValueNetwork}) {
-      auto context = bench::MakeContext(benchmark, &config);
+      auto context = bench::MakeContext(benchmark, config);
       auto agent = core::MakeEagleAgent(context.graph, context.cluster,
                                         config.dims(), config.seed);
       auto options = bench::PaperTrainerOptions(rl::Algorithm::kPpo,

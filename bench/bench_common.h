@@ -50,9 +50,6 @@ struct BenchConfig {
   // this changes wall-clock time only, never results.
   int threads = 1;
   std::vector<models::Benchmark> benchmarks;
-  // Names of --load graphs registered in the zoo's imported-graph
-  // registry (models::FindImportedGraph), in flag order.
-  std::vector<std::string> imported_graphs;
   std::string csv_prefix;
   // Fault-injected measurement (sim::FaultProfileFromString syntax;
   // all-zero disables).
@@ -61,7 +58,7 @@ struct BenchConfig {
   // (default, 2node8, mixed) or a .ec/.json spec file resolved through
   // sim::ResolveCluster. The raw flag value is kept for labelling.
   std::string cluster_name;
-  sim::ClusterSpec cluster;
+  sim::ClusterSpec cluster = sim::MakeDefaultCluster();
   // Crash-safe training checkpoints: when checkpoint_dir is set every
   // training run snapshots to <dir>/<model>_<agent>_<algorithm>.ckpt;
   // resume restores the snapshot and continues.
@@ -87,10 +84,6 @@ inline void AddCommonFlags(support::ArgParser& args, int default_samples) {
   args.AddString("models", "inception_v3,gnmt,bert",
                  "comma-separated benchmark subset");
   args.AddString("csv", "", "CSV output path prefix (empty: no CSV)");
-  args.AddString("load", "",
-                 "comma-separated graph files (.eg or .json) to import, "
-                 "validate and register alongside the benchmarks; "
-                 "malformed files exit 2 with a file:line diagnostic");
   args.AddInt("threads", 1,
               "evaluation threads (0: hardware count; results are "
               "bit-identical at any thread count)");
@@ -143,22 +136,13 @@ inline BenchConfig ReadCommonFlags(const support::ArgParser& args) {
   config.cluster = ResolveClusterOrExit(config.cluster_name);
   config.checkpoint_dir = args.GetString("checkpoint-dir");
   config.resume = args.GetBool("resume");
-  std::string list = args.GetString("models");
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!name.empty()) {
-      config.benchmarks.push_back(models::BenchmarkFromName(name));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& name :
+       support::SplitCommaList(args.GetString("models"))) {
+    config.benchmarks.push_back(models::BenchmarkFromName(name));
   }
   if (args.GetBool("verbose")) {
     support::SetLogLevel(support::LogLevel::kDebug);
   }
-  config.imported_graphs = ImportGraphsOrExit(args.GetString("load"));
   config.telemetry_out = args.GetString("telemetry-out");
   config.profile_out = args.GetString("profile-out");
   if (!config.telemetry_out.empty() &&
@@ -179,19 +163,17 @@ struct BenchContext {
   std::unique_ptr<core::PlacementEnvironment> env;
 };
 
-// When `config` is given its fault profile is installed into the
-// environment (retries with backoff, graceful degradation — see
-// core::EnvironmentOptions) and its --cluster topology is used; a null
-// config keeps the fault-free default cluster.
+// The environment runs on the config's --cluster topology with its fault
+// profile installed (retries with backoff, graceful degradation — see
+// core::EnvironmentOptions).
 inline BenchContext MakeContext(models::Benchmark benchmark,
-                                const BenchConfig* config = nullptr) {
+                                const BenchConfig& config) {
   BenchContext context;
   context.benchmark = benchmark;
   context.graph = models::BuildBenchmark(benchmark);
-  context.cluster =
-      config != nullptr ? config->cluster : sim::MakeDefaultCluster();
+  context.cluster = config.cluster;
   core::EnvironmentOptions env_options;
-  if (config != nullptr) env_options.faults = config->faults;
+  env_options.faults = config.faults;
   context.env = std::make_unique<core::PlacementEnvironment>(
       context.graph, context.cluster, env_options);
   return context;

@@ -17,14 +17,8 @@ namespace {
 
 std::vector<double> ParseRates(const std::string& list) {
   std::vector<double> rates;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string token =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) rates.push_back(std::stod(token));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& token : support::SplitCommaList(list)) {
+    rates.push_back(std::stod(token));
   }
   EAGLE_CHECK_MSG(!rates.empty(), "--rates needs at least one value");
   return rates;
@@ -59,7 +53,7 @@ int main(int argc, char** argv) {
       // --seed.
       run_config.faults.seed =
           config.seed * 1000 + static_cast<std::uint64_t>(i);
-      auto context = bench::MakeContext(benchmark, &run_config);
+      auto context = bench::MakeContext(benchmark, run_config);
       auto agent = core::MakeEagleAgent(context.graph, context.cluster,
                                         run_config.dims(), run_config.seed);
       const auto result = bench::TrainOnBenchmark(

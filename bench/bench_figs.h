@@ -33,7 +33,7 @@ inline void RunCurves(const std::string& figure_name,
                    "invalid", "sim hours"});
 
   for (const auto& spec : agents) {
-    auto context = MakeContext(benchmark, &config);
+    auto context = MakeContext(benchmark, config);
     auto agent = spec.make(context, config);
     const auto on_progress = [&](const rl::HistoryPoint& point) {
       if (std::isfinite(point.per_step_seconds)) {

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   table.SetHeader({"Models", "Placeto", "sim evals", "EAGLE (PPO)",
                    "sim hours"});
   for (auto benchmark : config.benchmarks) {
-    auto context = bench::MakeContext(benchmark, &config);
+    auto context = bench::MakeContext(benchmark, config);
     core::PlacetoOptions placeto;
     placeto.episodes = static_cast<int>(args.GetInt("episodes"));
     placeto.num_groups = config.dims().num_groups;

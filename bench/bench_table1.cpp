@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       "hierarchical model with different groupers.");
   table.SetHeader({"Models", "Feed-forward", "METIS", "Networkx(fluid)"});
   for (auto benchmark : config.benchmarks) {
-    auto context = bench::MakeContext(benchmark, &config);
+    auto context = bench::MakeContext(benchmark, config);
     std::vector<std::string> row{models::BenchmarkName(benchmark)};
     for (const char* grouper : {"feed-forward", "metis", "fluid"}) {
       row.push_back(

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   table.SetHeader(
       {"Models", "Seq2Seq(before)", "Seq2Seq(after)", "GCN"});
   for (auto benchmark : config.benchmarks) {
-    auto context = bench::MakeContext(benchmark, &config);
+    auto context = bench::MakeContext(benchmark, config);
     const auto grouping = bench::MetisGrouping(
         context.graph, config.dims().num_groups, config.seed);
     std::vector<std::string> row{models::BenchmarkName(benchmark)};

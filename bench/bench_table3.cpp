@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       "trained with three different algorithms.");
   table.SetHeader({"Models", "REINFORCE", "PPO", "PPO+CE"});
   for (auto benchmark : config.benchmarks) {
-    auto context = bench::MakeContext(benchmark, &config);
+    auto context = bench::MakeContext(benchmark, config);
     std::vector<std::string> row{models::BenchmarkName(benchmark)};
     for (auto algorithm : {rl::Algorithm::kReinforce, rl::Algorithm::kPpo,
                            rl::Algorithm::kPpoCe}) {

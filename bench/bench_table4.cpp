@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                    "Hierarchical Planner", "Post", "EAGLE (PPO)",
                    "EAGLE (PPO+CE)"});
   for (auto benchmark : config.benchmarks) {
-    auto context = bench::MakeContext(benchmark, &config);
+    auto context = bench::MakeContext(benchmark, config);
     std::vector<std::string> row{models::BenchmarkName(benchmark)};
 
     // Pre-defined placements (evaluated directly, no training).

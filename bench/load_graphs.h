@@ -1,7 +1,6 @@
-// --load / --cluster flag plumbing shared by the benches: import user
-// graph files (.eg / .json) through the hardened ingestion pipeline and
-// register them in the model zoo so bench rows can refer to them by
-// name; resolve cluster topology specs the same way.
+// --load / --cluster flag plumbing: import user graph files (.eg / .json)
+// through the hardened ingestion pipeline for bench_micro's extra
+// simulator rows, and resolve cluster topology specs for every bench.
 //
 // Kept separate from bench_common.h so bench_micro (which links only
 // nn/sim/models, not the RL stack) can use it too.
@@ -9,60 +8,36 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/ingest.h"
-#include "models/zoo.h"
 #include "sim/cluster_ingest.h"
+#include "support/args.h"
 
 namespace eagle::bench {
 
-// Registry name for an imported file: the basename without extension
-// ("runs/my_net.eg" → "my_net").
-inline std::string ImportedGraphName(const std::string& path) {
-  std::string name = path;
-  const std::size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) name = name.substr(0, dot);
-  return name;
-}
-
-// Imports, validates and registers every file in the comma-separated
-// `list`; returns the registered names in order. A malformed graph is a
-// friendly exit 2 with the parser's file:line:column diagnostic on
-// stderr — the same convention as the tools (inspect_model,
-// trace_placement).
-inline std::vector<std::string> ImportGraphsOrExit(const std::string& list) {
-  std::vector<std::string> names;
-  std::size_t pos = 0;
-  while (pos <= list.size() && !list.empty()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string path =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!path.empty()) {
-      support::StatusOr<graph::OpGraph> parsed =
-          graph::ImportGraphFile(path);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        std::exit(2);
-      }
-      const std::string name = ImportedGraphName(path);
-      const support::Status status =
-          models::RegisterImportedGraph(name, std::move(parsed).value());
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        std::exit(2);
-      }
-      names.push_back(name);
+// Imports and validates every file in the comma-separated `list`;
+// returns (row name, graph) pairs in order, the row name being the
+// file's basename without extension ("runs/my_net.eg" → "my_net"). A
+// malformed graph is a friendly exit 2 with the parser's
+// file:line:column diagnostic on stderr — the same convention as the
+// tools (inspect_model, trace_placement).
+inline std::vector<std::pair<std::string, graph::OpGraph>> ImportGraphsOrExit(
+    const std::string& list) {
+  std::vector<std::pair<std::string, graph::OpGraph>> graphs;
+  for (const std::string& path : support::SplitCommaList(list)) {
+    support::StatusOr<graph::OpGraph> parsed = graph::ImportGraphFile(path);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+      std::exit(2);
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    graphs.emplace_back(std::filesystem::path(path).stem().string(),
+                        std::move(parsed).value());
   }
-  return names;
+  return graphs;
 }
 
 // Resolves a --cluster value (builtin name or spec file path) through

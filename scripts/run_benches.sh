@@ -10,5 +10,5 @@ for b in table1 table2 table3 table4 fig2 fig5 fig6 fig7 ablation baselines plac
   "$BUILD/bench/bench_$b" --csv="$OUT/"
 done
 echo "=== bench_micro ==="
-"$BUILD/bench/bench_micro" --benchmark_min_time=0.05
+"$BUILD/bench/bench_micro" --out="$OUT/BENCH_kernels.json"
 echo ALL_BENCHES_DONE

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "sim/cost_model.h"
+#include "support/binary_io.h"
 #include "support/check.h"
 #include "support/metrics.h"
 
@@ -39,17 +38,6 @@ struct EnvMetrics {
 EnvMetrics& Metrics() {
   static EnvMetrics m;
   return m;
-}
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-void ReadPod(std::istream& in, T& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  EAGLE_CHECK_MSG(in, "truncated environment state");
 }
 
 }  // namespace
@@ -99,29 +87,14 @@ EvalOutcome PlacementEnvironment::EvaluateTicket(
     const sim::Placement& placement, EvalTicket& ticket,
     support::Rng* rng) const {
   EvalOutcome outcome;
-  // Noise is applied below, per evaluation, on top of the noiseless
-  // simulator result, so repeated visits look like independent
-  // measurements.
-  const sim::EvalResult clean = session_.Evaluate(placement, nullptr);
-
   if (injector_ == nullptr) {
     outcome.attempts = 1;
-    sim::EvalResult result = clean;
-    if (result.valid && rng != nullptr &&
-        options_.measurement.noise_stddev > 0.0) {
-      const int measured = options_.measurement.total_steps -
-                           options_.measurement.warmup_steps;
-      double sum = 0.0;
-      for (int i = 0; i < measured; ++i) {
-        sum += result.true_per_step_seconds *
-               sim::NoiseFactor(options_.measurement.noise_stddev, *rng);
-      }
-      result.per_step_seconds = sum / measured;
-    }
-    outcome.result = result;
+    outcome.result = session_.Evaluate(placement, rng);
     return outcome;
   }
-
+  // Retried attempts are measured on a faulty machine; the noiseless
+  // healthy run supplies the ground truth they are reported against.
+  const sim::EvalResult clean = session_.Evaluate(placement, nullptr);
   outcome.result =
       EvaluateWithRetries(placement, clean, rng, ticket.fault_rng, &outcome);
   return outcome;
@@ -213,36 +186,32 @@ double PlacementEnvironment::backoff_seconds_total() const {
   return backoff_seconds_total_;
 }
 
-void PlacementEnvironment::SerializeState(std::ostream& out) const {
+void PlacementEnvironment::SerializeState(std::ostream& stream) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  const auto rng_state = fault_rng_.state();
-  for (std::uint64_t s : rng_state) WritePod(out, s);
+  support::BinaryWriter out(stream);
+  for (std::uint64_t s : fault_rng_.state()) out.Pod(s);
   // Former cache-hit counter: a zero keeps the blob layout checkpoints use.
-  WritePod(out, int{0});
-  WritePod(out, evaluations_);
-  WritePod(out, attempts_);
-  WritePod(out, transient_failures_);
-  WritePod(out, timeouts_);
-  WritePod(out, retries_);
-  WritePod(out, exhausted_evaluations_);
-  WritePod(out, backoff_seconds_total_);
+  out.Pod(int{0});
+  for (int counter : {evaluations_, attempts_, transient_failures_, timeouts_,
+                      retries_, exhausted_evaluations_}) {
+    out.Pod(counter);
+  }
+  out.Pod(backoff_seconds_total_);
 }
 
-void PlacementEnvironment::DeserializeState(std::istream& in) {
+void PlacementEnvironment::DeserializeState(std::istream& stream) {
   std::lock_guard<std::mutex> lock(state_mutex_);
+  support::BinaryReader in(stream, "environment state");
   std::array<std::uint64_t, 4> rng_state{};
-  for (auto& s : rng_state) ReadPod(in, s);
+  for (auto& s : rng_state) s = in.Pod<std::uint64_t>();
   fault_rng_.set_state(rng_state);
   // Former cache-hit counter: older checkpoints hold a count here; skip it.
-  int retired_slot = 0;
-  ReadPod(in, retired_slot);
-  ReadPod(in, evaluations_);
-  ReadPod(in, attempts_);
-  ReadPod(in, transient_failures_);
-  ReadPod(in, timeouts_);
-  ReadPod(in, retries_);
-  ReadPod(in, exhausted_evaluations_);
-  ReadPod(in, backoff_seconds_total_);
+  in.Pod<int>();
+  for (int* counter : {&evaluations_, &attempts_, &transient_failures_,
+                       &timeouts_, &retries_, &exhausted_evaluations_}) {
+    *counter = in.Pod<int>();
+  }
+  backoff_seconds_total_ = in.Pod<double>();
 }
 
 }  // namespace eagle::core

@@ -1,9 +1,10 @@
 // PlacementEnvironment: the environment the RL agents interact with.
 //
 // Wraps a benchmark graph + cluster + MeasurementSession and supplies the
-// invalid-placement penalty used by reward shaping. Every evaluation is
-// one noiseless simulator run; the simulator is deterministic, so a
-// revisited placement gets the same result without any memoization.
+// invalid-placement penalty used by reward shaping. Every evaluation
+// runs the simulator afresh; it is deterministic, so a revisited
+// placement gets the same noiseless result without any memoization, and
+// MeasurementSession adds the per-evaluation measurement noise.
 //
 // Robustness layer: when EnvironmentOptions::faults is enabled, every
 // evaluation becomes a retry loop over fault-injected measurement

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "graph/grouped_graph.h"
+#include "partition/metis_like.h"
 #include "support/check.h"
 
 namespace eagle::core {
@@ -12,6 +14,26 @@ sim::Placement SingleGpuPlacement(const graph::OpGraph& graph,
   const auto gpus = cluster.Gpus();
   EAGLE_CHECK_MSG(!gpus.empty(), "cluster has no GPU");
   return sim::Placement::AllOnDevice(graph, cluster, gpus.front());
+}
+
+sim::Placement MetisBalancedPlacement(const graph::OpGraph& graph,
+                                      const sim::ClusterSpec& cluster,
+                                      std::uint64_t seed) {
+  partition::MetisOptions options;
+  options.num_parts = 4 * cluster.num_devices();
+  options.seed = seed;
+  const auto grouping = partition::MetisPartition(graph, options);
+  graph::GroupedGraph grouped(graph, grouping, options.num_parts);
+  const auto gpus = cluster.Gpus();
+  std::vector<std::int32_t> group_devices(
+      static_cast<std::size_t>(options.num_parts));
+  for (int g = 0; g < options.num_parts; ++g) {
+    group_devices[static_cast<std::size_t>(g)] =
+        gpus[static_cast<std::size_t>(g) % gpus.size()];
+  }
+  sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
+  placement.Normalize(graph, cluster);
+  return placement;
 }
 
 namespace {

@@ -3,6 +3,11 @@
 //
 //   Single GPU    — every op on one GPU, CPU-incompatible ops on the CPU;
 //                   valid only when the model fits (Inception-V3).
+//   METIS balanced — METIS groups (4 per device) round-robined over the
+//                   GPUs, then normalized so CPU-pinned ops land on the
+//                   host. Deliberately speed- and topology-oblivious: the
+//                   strongest non-learned baseline that needs no model
+//                   knowledge.
 //   Human Expert  — Inception-V3: the TF-Slim placement (everything on one
 //                   GPU, input pipeline on CPU);
 //                   GNMT: the tf/nmt convention — each LSTM layer,
@@ -12,6 +17,7 @@
 //                   multi-GPU placement — the paper reports OOM).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "models/zoo.h"
@@ -21,6 +27,10 @@ namespace eagle::core {
 
 sim::Placement SingleGpuPlacement(const graph::OpGraph& graph,
                                   const sim::ClusterSpec& cluster);
+
+sim::Placement MetisBalancedPlacement(const graph::OpGraph& graph,
+                                      const sim::ClusterSpec& cluster,
+                                      std::uint64_t seed);
 
 std::optional<sim::Placement> HumanExpertPlacement(
     models::Benchmark benchmark, const graph::OpGraph& graph,

@@ -2,8 +2,8 @@
 //
 // This is the one way to read a graph file (graph_io.h only writes
 // them). Everything that accepts a *user-supplied* graph file —
-// inspect_model --load, trace_placement --load, bench --load, zoo
-// registration of imported graphs — goes through this module: no input,
+// inspect_model --load, trace_placement --load, bench_micro --load,
+// custom_model --load — goes through this module: no input,
 // however malformed, makes these functions throw or abort. Failures
 // come back as a support::Status carrying an error-taxonomy code and the
 // file:line:column the problem was detected at. Every parsed graph is

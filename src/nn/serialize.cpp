@@ -1,10 +1,8 @@
 #include "nn/serialize.h"
 
 #include <cstring>
-#include <fstream>
-#include <vector>
 
-#include "support/atomic_file.h"
+#include "support/binary_io.h"
 #include "support/check.h"
 #include "support/log.h"
 
@@ -14,56 +12,34 @@ namespace {
 constexpr char kMagic[8] = {'E', 'A', 'G', 'L', 'N', 'N', '1', '\0'};
 }
 
-void SaveParams(const ParamStore& store, std::ostream& out) {
-  out.write(kMagic, sizeof(kMagic));
-  const auto count = static_cast<std::uint32_t>(store.params().size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+void SaveParams(const ParamStore& store, std::ostream& stream) {
+  support::BinaryWriter out(stream);
+  out.Bytes(kMagic, sizeof(kMagic));
+  out.Pod(static_cast<std::uint32_t>(store.params().size()));
   for (const auto& p : store.params()) {
-    const auto name_len = static_cast<std::uint32_t>(p->name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p->name.data(), name_len);
-    const std::int32_t rows = p->value.rows();
-    const std::int32_t cols = p->value.cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    out.String(p->name);
+    out.Pod(static_cast<std::int32_t>(p->value.rows()));
+    out.Pod(static_cast<std::int32_t>(p->value.cols()));
+    out.Bytes(p->value.data(),
+              static_cast<std::size_t>(p->value.size()) * sizeof(float));
   }
 }
 
-bool SaveParams(const ParamStore& store, const std::string& path) {
-  // Write-temp-then-rename (support::WriteFileAtomic): the trainer
-  // overwrites its best-parameters file every time a new best placement
-  // is found, and a crash mid-write must never corrupt the previous one.
-  return support::WriteFileAtomic(path, [&store](std::ostream& out) {
-    SaveParams(store, out);
-    return static_cast<bool>(out);
-  });
-}
-
-int LoadParams(ParamStore& store, std::istream& in) {
+int LoadParams(ParamStore& store, std::istream& stream) {
+  support::BinaryReader in(stream, "parameter section");
   char magic[8];
-  in.read(magic, sizeof(magic));
-  EAGLE_CHECK_MSG(in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-                  "bad checkpoint magic");
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  in.Bytes(magic, sizeof(magic));
+  EAGLE_CHECK_MSG(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
+                  "bad parameter section magic");
+  const auto count = in.Pod<std::uint32_t>();
   int restored = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    EAGLE_CHECK_MSG(in && name_len < (1u << 16), "corrupt checkpoint");
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    std::int32_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    EAGLE_CHECK_MSG(in && rows >= 0 && cols >= 0, "corrupt checkpoint");
-    std::vector<float> data(static_cast<std::size_t>(rows) *
-                            static_cast<std::size_t>(cols));
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    EAGLE_CHECK_MSG(in, "truncated checkpoint");
+    const std::string name = in.String();
+    const auto rows = in.Pod<std::int32_t>();
+    const auto cols = in.Pod<std::int32_t>();
+    EAGLE_CHECK_MSG(rows >= 0 && cols >= 0, "corrupt shape for " << name);
+    std::vector<float> data = in.Floats(static_cast<std::uint64_t>(rows) *
+                                        static_cast<std::uint64_t>(cols));
     Parameter* p = store.Find(name);
     if (p == nullptr) {
       EAGLE_LOG(Warn) << "checkpoint param " << name << " not in store";
@@ -75,12 +51,6 @@ int LoadParams(ParamStore& store, std::istream& in) {
     ++restored;
   }
   return restored;
-}
-
-int LoadParams(ParamStore& store, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EAGLE_CHECK_MSG(in, "cannot open checkpoint " << path);
-  return LoadParams(store, in);
 }
 
 }  // namespace eagle::nn

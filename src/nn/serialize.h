@@ -1,4 +1,6 @@
-// Parameter checkpointing: binary save/load of a ParamStore by name.
+// Parameter section of training checkpoints (rl/checkpoint.h) and critic
+// state blobs: binary save/load of a ParamStore by name, through the
+// bounded codec in support/binary_io.h.
 //
 // Format (little endian):
 //   magic "EAGLNN1\0" | u32 count | per param:
@@ -6,22 +8,16 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "nn/layers.h"
 
 namespace eagle::nn {
 
-bool SaveParams(const ParamStore& store, const std::string& path);
+void SaveParams(const ParamStore& store, std::ostream& out);
 
 // Loads values into existing parameters matched by name (shape must
 // match). Returns the number of parameters restored; throws on corrupt
-// files or shape mismatches.
-int LoadParams(ParamStore& store, const std::string& path);
-
-// Stream variants, used to embed a parameter section inside composite
-// files (the trainer's crash-safe checkpoints).
-void SaveParams(const ParamStore& store, std::ostream& out);
+// input or shape mismatches.
 int LoadParams(ParamStore& store, std::istream& in);
 
 }  // namespace eagle::nn

@@ -7,7 +7,9 @@
 // opaque environment-state blob (Environment::SerializeState — the fault
 // stream and robustness counters for PlacementEnvironment).
 //
-// Files are written atomically (support::WriteFileAtomic): the
+// Every section is encoded through the bounded codec in
+// support/binary_io.h, so a corrupt length is rejected before it is
+// allocated. Files are written atomically (support::WriteFileAtomic): the
 // checkpoint is serialized to `<path>.tmp` and renamed over `<path>`
 // only once complete, so a crash mid-write can never corrupt the
 // previous good checkpoint.

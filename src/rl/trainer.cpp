@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 
-#include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "support/check.h"
 #include "support/log.h"
@@ -180,9 +179,6 @@ TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
         result.best_per_step_seconds = eval.true_per_step_seconds;
         result.best_placement = placements[i];
         result.best_found_at_hours = result.total_virtual_hours;
-        if (!options.checkpoint_path.empty()) {
-          nn::SaveParams(agent.params(), options.checkpoint_path);
-        }
       }
 
       HistoryPoint point;

@@ -84,9 +84,6 @@ struct TrainerOptions {
   // The sample that crosses the budget is the last one counted; samples
   // dispatched after it in the same round are evaluated but discarded.
   double max_virtual_hours = 0.0;
-  // When set, the agent's parameters are checkpointed here every time a
-  // new best placement is found (resumable with nn::LoadParams).
-  std::string checkpoint_path;
   // Crash-safe training checkpoints (rl/checkpoint.h): when
   // checkpoint_dir is set, the full trainer state (agent parameters,
   // optimizer slots, EMA baseline, RNG, virtual clock, history, CE pool,

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "support/args.h"
 #include "support/check.h"
 
 namespace eagle::sim {
@@ -31,45 +32,36 @@ std::string FaultProfile::ToString() const {
 
 FaultProfile FaultProfileFromString(const std::string& text) {
   FaultProfile profile;
-  if (text.empty()) return profile;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string item = text.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        // Bare rate: a uniform profile at that severity.
-        const double rate = ParseRate("rate", item);
-        profile.transient_failure_rate = rate;
-        profile.device_down_rate = rate / 4.0;
-        profile.straggler_rate = rate;
-        profile.degraded_link_rate = rate;
+  for (const std::string& item : support::SplitCommaList(text)) {
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      // Bare rate: a uniform profile at that severity.
+      const double rate = ParseRate("rate", item);
+      profile.transient_failure_rate = rate;
+      profile.device_down_rate = rate / 4.0;
+      profile.straggler_rate = rate;
+      profile.degraded_link_rate = rate;
+    } else {
+      const std::string key = item.substr(0, eq);
+      const std::string value = item.substr(eq + 1);
+      if (key == "crash") {
+        profile.transient_failure_rate = ParseRate(key, value);
+      } else if (key == "down") {
+        profile.device_down_rate = ParseRate(key, value);
+      } else if (key == "straggler") {
+        profile.straggler_rate = ParseRate(key, value);
+      } else if (key == "slowdown") {
+        profile.straggler_slowdown = ParseRate(key, value);
+      } else if (key == "link") {
+        profile.degraded_link_rate = ParseRate(key, value);
+      } else if (key == "linkfactor") {
+        profile.degraded_link_factor = ParseRate(key, value);
+      } else if (key == "seed") {
+        profile.seed = static_cast<std::uint64_t>(ParseRate(key, value));
       } else {
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        if (key == "crash") {
-          profile.transient_failure_rate = ParseRate(key, value);
-        } else if (key == "down") {
-          profile.device_down_rate = ParseRate(key, value);
-        } else if (key == "straggler") {
-          profile.straggler_rate = ParseRate(key, value);
-        } else if (key == "slowdown") {
-          profile.straggler_slowdown = ParseRate(key, value);
-        } else if (key == "link") {
-          profile.degraded_link_rate = ParseRate(key, value);
-        } else if (key == "linkfactor") {
-          profile.degraded_link_factor = ParseRate(key, value);
-        } else if (key == "seed") {
-          profile.seed = static_cast<std::uint64_t>(ParseRate(key, value));
-        } else {
-          EAGLE_CHECK_MSG(false, "unknown fault key '" << key << "'");
-        }
+        EAGLE_CHECK_MSG(false, "unknown fault key '" << key << "'");
       }
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return profile;
 }

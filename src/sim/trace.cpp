@@ -5,20 +5,9 @@
 #include <unordered_map>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace eagle::sim {
-
-namespace {
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-}  // namespace
 
 std::string ToChromeTrace(const StepResult& result,
                           const graph::OpGraph& graph,
@@ -33,8 +22,8 @@ std::string ToChromeTrace(const StepResult& result,
                   int pid, int tid, double start, double end) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << JsonEscape(name) << "\",\"cat\":\"" << category
-       << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
+    os << "{\"name\":\"" << support::json::Escape(name) << "\",\"cat\":\""
+       << category << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
        << ",\"ts\":" << start * 1e6 << ",\"dur\":" << (end - start) * 1e6
        << "}";
   };
@@ -43,8 +32,8 @@ std::string ToChromeTrace(const StepResult& result,
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << d
-       << ",\"args\":{\"name\":\"" << JsonEscape(cluster.device(d).name)
-       << "\"}}";
+       << ",\"args\":{\"name\":\""
+       << support::json::Escape(cluster.device(d).name) << "\"}}";
   }
   for (const auto& op : result.schedule) {
     emit(graph.op(op.op).name, "compute", 0, op.device, op.start_seconds,

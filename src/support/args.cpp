@@ -162,4 +162,13 @@ std::string ArgParser::Usage() const {
   return os.str();
 }
 
+std::vector<std::string> SplitCommaList(const std::string& list) {
+  std::vector<std::string> items;
+  std::istringstream in(list);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
+}
+
 }  // namespace eagle::support

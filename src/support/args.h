@@ -61,4 +61,7 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
+// The non-empty items of a comma-separated flag value ("a,,b" → a, b).
+std::vector<std::string> SplitCommaList(const std::string& list);
+
 }  // namespace eagle::support

@@ -46,14 +46,14 @@ TEST(BenchFlags, UnknownModelThrows) {
 }
 
 TEST(BenchContext, BuildsEnvironmentPerBenchmark) {
-  auto context = MakeContext(models::Benchmark::kInceptionV3);
+  auto context = MakeContext(models::Benchmark::kInceptionV3, BenchConfig{});
   EXPECT_GT(context.graph.num_ops(), 0);
   EXPECT_EQ(context.cluster.num_devices(), 5);
   EXPECT_GT(context.env->InvalidPenaltySeconds(), 0.0);
 }
 
 TEST(BenchGroupings, MetisAndFluidValid) {
-  auto context = MakeContext(models::Benchmark::kInceptionV3);
+  auto context = MakeContext(models::Benchmark::kInceptionV3, BenchConfig{});
   for (int k : {8, 24}) {
     const auto metis = MetisGrouping(context.graph, k, 1);
     const auto fluid = FluidGrouping(context.graph, k, 1);

@@ -3,9 +3,13 @@
 // and resumed run reproduces the uninterrupted run bit-compatibly).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +19,7 @@
 #include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "rl/trainer.h"
+#include "rl/value_baseline.h"
 
 namespace eagle::rl {
 namespace {
@@ -60,6 +65,18 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 std::string ParamBlob(PolicyAgent& agent) {
@@ -303,18 +320,202 @@ TEST(Checkpoint, CorruptOrTruncatedFileThrows) {
   CheckpointData full;
   full.result.total_samples = 5;
   ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, full));
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  in.close();
-  const std::string bytes = contents.str();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
-  }
+  const std::string bytes = ReadFile(path);
+  WriteFile(path, bytes.substr(0, bytes.size() / 2));
   EXPECT_THROW(LoadCheckpoint(path, agent->params(), optimizer, &data),
                std::logic_error);
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-level format pins. One fixed input touches every section of the
+// file: a parameter Adam never stepped (no moment slot), Adam after one
+// step, pool and batch samples with eval streams, a history holding an
+// invalid (inf) point, a best placement, a fault-injected environment's
+// state blob and a learned critic's blob.
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) hash = (hash ^ c) * 0x100000001b3ULL;
+  return hash;
+}
+
+template <typename Save>
+std::string Blob(const Save& save) {
+  std::ostringstream out;
+  save(out);
+  return out.str();
+}
+
+constexpr nn::AdamOptions kGoldenAdam{.clip_norm = 0.0};
+constexpr ValueBaselineOptions kGoldenCritic{.hidden = 3};
+
+// Parameters with the golden shapes; values come from the file.
+void CreateGoldenParams(nn::ParamStore& store) {
+  store.Create("w", 2, 3);
+  store.Create("frozen", 1, 2);
+}
+
+struct GoldenCheckpoint {
+  nn::ParamStore store;
+  nn::Adam adam{store, kGoldenAdam};
+  CheckpointData data;
+
+  GoldenCheckpoint() {
+    nn::Parameter* w = store.Create("w", 2, 3);
+    for (int i = 0; i < 6; ++i) {
+      w->value.data()[i] = 0.25f * static_cast<float>(i - 2);
+      w->grad.data()[i] = 0.5f - 0.125f * static_cast<float>(i);
+    }
+    adam.Step();
+    // Created after the step, so Adam never touched it: no moment slot.
+    store.Create("frozen", 1, 2)->value.at(0, 1) = 3.0f;
+
+    const Sample good{{0, 1, 1, 0}, {2, 1}, -2.25, 6, 0x0123456789abcdefULL,
+                      true, 0.75, -0.5, 0.125};
+    const Sample oom{{1, 0, 0, 1}, {2, 1}, -2.25, 6, 9, false, 0.75, -7.5,
+                     0.125};
+    const double inf = std::numeric_limits<double>::infinity();
+    data = CheckpointData{
+        .result = {true, sim::Placement::FromRaw({2, 1, 1, 2}), 0.75, 0.5,
+                   1.0, 1, 2, {{1, 0.5, 0.75, 0.75}, {2, 1.0, inf, 0.75}}},
+        .rng_state = {1, 2, 3, 0xfedcba9876543210ULL},
+        .baseline_value = -1.5,
+        .baseline_initialized = true,
+        .pool = {good, oom},
+        .batch = {oom},
+        .since_ce = 4};
+
+    const graph::OpGraph graph =
+        models::BuildParallelChains(2, 4, 1 << 14, 1e9);
+    const sim::ClusterSpec cluster = sim::MakeDefaultCluster();
+    core::EnvironmentOptions env_options;
+    env_options.faults = sim::FaultProfileFromString("0.3");
+    core::PlacementEnvironment env(graph, cluster, env_options);
+    const auto placement =
+        sim::Placement::AllOnDevice(graph, cluster, cluster.Gpus().front());
+    support::Rng noise(3);
+    for (int i = 0; i < 4; ++i) env.Evaluate(placement, &noise);
+    data.env_state = Blob([&](auto& out) { env.SerializeState(out); });
+
+    ValueBaseline critic(3, kGoldenCritic);
+    critic.Update({good, oom});
+    data.critic_state = Blob([&](auto& out) { critic.SaveState(out); });
+  }
+
+  std::string Write(const std::string& path) const {
+    EXPECT_TRUE(SaveCheckpoint(path, store, adam, data));
+    return ReadFile(path);
+  }
+};
+
+TEST(Checkpoint, GoldenBytes) {
+  const std::string dir = FreshDir("eagle_ckpt_golden");
+  const std::string path = CheckpointFilePath(dir, "golden");
+  const GoldenCheckpoint golden;
+  const std::string bytes = golden.Write(path);
+  EXPECT_EQ(golden.data.env_state.size(), 68u);
+  // Captured when the layout was frozen: any byte of drift strands every
+  // checkpoint already on disk.
+  EXPECT_EQ(bytes.size(), 1013u);
+  EXPECT_EQ(Fnv1a(bytes), 0xa5357335e61d93f8ULL) << std::hex << Fnv1a(bytes);
+
+  // Load-then-save reproduces the file byte for byte.
+  nn::ParamStore store;
+  CreateGoldenParams(store);
+  nn::Adam adam(store, kGoldenAdam);
+  CheckpointData data;
+  ASSERT_TRUE(LoadCheckpoint(path, store, adam, &data));
+  ASSERT_TRUE(SaveCheckpoint(path, store, adam, data));
+  EXPECT_EQ(ReadFile(path), bytes);
+
+  // So do the two embedded blobs, through their owners' readers.
+  const graph::OpGraph graph = models::BuildParallelChains(2, 4, 1 << 14, 1e9);
+  const sim::ClusterSpec cluster = sim::MakeDefaultCluster();
+  core::PlacementEnvironment env(graph, cluster);
+  std::istringstream env_in(data.env_state);
+  env.DeserializeState(env_in);
+  EXPECT_EQ(Blob([&](auto& out) { env.SerializeState(out); }),
+            golden.data.env_state);
+  ValueBaseline critic(3, kGoldenCritic);
+  std::istringstream critic_in(data.critic_state);
+  critic.LoadState(critic_in);
+  EXPECT_EQ(Blob([&](auto& out) { critic.SaveState(out); }),
+            golden.data.critic_state);
+  std::filesystem::remove_all(dir);
+}
+
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Every length field of the golden file, overstated to claim about a
+// gibibyte of payload, must be rejected before that payload is
+// allocated: the loader throws and peak RSS barely moves.
+TEST(Checkpoint, OverstatedLengthsRejectedWithoutAllocating) {
+  const std::string dir = FreshDir("eagle_ckpt_lengths");
+  const std::string path = CheckpointFilePath(dir, "golden");
+  const GoldenCheckpoint golden;
+  const std::string bytes = golden.Write(path);
+
+  // Walk the layout (rl/checkpoint.cpp) to each length field.
+  const std::size_t params_at = 8;
+  const std::size_t adam_at =
+      params_at +
+      Blob([&](auto& out) { nn::SaveParams(golden.store, out); }).size();
+  const std::size_t placement_at =
+      adam_at + Blob([&](auto& out) { golden.adam.SaveState(out); }).size() +
+      32 + 9 + 33;
+  const std::size_t history_at = placement_at + 4 + 4 * 4;
+  const std::size_t pool_at = history_at + 4 + 2 * 28;
+  const std::size_t sample_bytes = 4 + 4 * 4 + 4 + 2 * 4 + 8 + 4 + 8 + 1 + 24;
+  const std::size_t critic_at =
+      bytes.size() - 8 - golden.data.critic_state.size() - 8;
+  const std::size_t env_at = critic_at - golden.data.env_state.size() - 8;
+
+  constexpr std::uint64_t kGibRecords = (1u << 28) - 1;
+  struct Patch {
+    std::size_t offset;
+    std::size_t width;     // 4: u32/i32 count, 8: u64 blob length
+    std::uint64_t stored;  // sanity: what the golden file holds there
+    std::uint64_t claimed;
+  };
+  const std::vector<std::pair<const char*, std::vector<Patch>>> fields = {
+      {"param name", {{params_at + 12, 4, 1, 1u << 30}}},
+      // 16384 x 16384 floats = 1 GiB.
+      {"param rows x cols",
+       {{params_at + 17, 4, 2, 1u << 14}, {params_at + 21, 4, 3, 1u << 14}}},
+      {"adam slot name", {{adam_at + 12, 4, 1, 1u << 30}}},
+      {"best placement", {{placement_at, 4, 4, kGibRecords}}},
+      {"history count", {{history_at, 4, 2, kGibRecords}}},
+      {"pool count", {{pool_at, 4, 2, kGibRecords}}},
+      {"sample grouping", {{pool_at + 4, 4, 4, kGibRecords}}},
+      {"sample devices", {{pool_at + 24, 4, 2, kGibRecords}}},
+      {"batch count", {{pool_at + 4 + 2 * sample_bytes, 4, 1, kGibRecords}}},
+      {"env blob", {{env_at, 8, golden.data.env_state.size(), 1ull << 30}}},
+      {"critic blob",
+       {{critic_at, 8, golden.data.critic_state.size(), 1ull << 30}}},
+  };
+  for (const auto& [field, patches] : fields) {
+    SCOPED_TRACE(field);
+    std::string corrupt = bytes;
+    for (const Patch& patch : patches) {
+      std::uint64_t stored = 0;  // little endian: the low bytes
+      std::memcpy(&stored, corrupt.data() + patch.offset, patch.width);
+      ASSERT_EQ(stored, patch.stored);
+      std::memcpy(corrupt.data() + patch.offset, &patch.claimed, patch.width);
+    }
+    WriteFile(path, corrupt);
+    nn::ParamStore store;
+    CreateGoldenParams(store);
+    nn::Adam adam(store, kGoldenAdam);
+    CheckpointData data;
+    const long before_kb = PeakRssKb();
+    EXPECT_THROW(LoadCheckpoint(path, store, adam, &data), std::logic_error);
+    EXPECT_LT(PeakRssKb() - before_kb, 64 * 1024);
+  }
   std::filesystem::remove_all(dir);
 }
 

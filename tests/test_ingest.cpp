@@ -470,41 +470,5 @@ TEST(ImportGraphFile, DispatchesOnSuffix) {
   EXPECT_EQ(from_json.value().num_ops(), 2);
 }
 
-// ---------------------------------------------------------------------------
-// The imported-graph registry (bench --load's backing store).
-
-TEST(ImportedGraphRegistry, RegistersFindsAndRejectsCollisions) {
-  models::ClearImportedGraphs();
-  ASSERT_TRUE(models::RegisterImportedGraph("mygraph", MakeTinyGraph()).ok());
-  ASSERT_NE(models::FindImportedGraph("mygraph"), nullptr);
-  EXPECT_EQ(models::FindImportedGraph("mygraph")->num_ops(), 2);
-  EXPECT_EQ(models::ImportedGraphNames(),
-            std::vector<std::string>{"mygraph"});
-  EXPECT_EQ(models::FindImportedGraph("absent"), nullptr);
-
-  // Duplicate and benchmark-colliding names are rejected.
-  EXPECT_EQ(models::RegisterImportedGraph("mygraph", MakeTinyGraph()).code(),
-            ErrorCode::kDuplicateOp);
-  EXPECT_EQ(models::RegisterImportedGraph("bert", MakeTinyGraph()).code(),
-            ErrorCode::kDuplicateOp);
-  EXPECT_EQ(models::RegisterImportedGraph("", MakeTinyGraph()).code(),
-            ErrorCode::kSyntax);
-
-  models::ClearImportedGraphs();
-  EXPECT_EQ(models::FindImportedGraph("mygraph"), nullptr);
-  EXPECT_TRUE(models::ImportedGraphNames().empty());
-}
-
-TEST(ImportedGraphRegistry, RevalidatesAtRegistration) {
-  models::ClearImportedGraphs();
-  OpGraph cyclic = MakeTinyGraph();
-  cyclic.AddEdge(1, 0);
-  const Status status =
-      models::RegisterImportedGraph("broken", std::move(cyclic));
-  EXPECT_EQ(status.code(), ErrorCode::kCycle);
-  EXPECT_EQ(models::FindImportedGraph("broken"), nullptr);
-  models::ClearImportedGraphs();
-}
-
 }  // namespace
 }  // namespace eagle

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <sstream>
 
 #include "nn/adam.h"
 #include "nn/layers.h"
@@ -204,41 +204,33 @@ TEST(Adam, ClipBoundsUpdates) {
 }
 
 TEST(Serialize, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/eagle_params.bin";
   ParamStore store;
   support::Rng rng(10);
   Parameter* w = store.Create("w", 3, 4);
   Parameter* b = store.Create("b", 1, 4);
   XavierInit(w->value, rng);
   XavierInit(b->value, rng);
-  ASSERT_TRUE(SaveParams(store, path));
+  std::stringstream blob;
+  SaveParams(store, blob);
 
   ParamStore restored;
   restored.Create("w", 3, 4);
   restored.Create("b", 1, 4);
-  EXPECT_EQ(LoadParams(restored, path), 2);
+  EXPECT_EQ(LoadParams(restored, blob), 2);
   for (int r = 0; r < 3; ++r)
     for (int c = 0; c < 4; ++c)
       EXPECT_FLOAT_EQ(restored.Find("w")->value.at(r, c),
                       w->value.at(r, c));
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, ShapeMismatchRejected) {
-  const std::string path = ::testing::TempDir() + "/eagle_params2.bin";
   ParamStore store;
   store.Create("w", 2, 2);
-  ASSERT_TRUE(SaveParams(store, path));
+  std::stringstream blob;
+  SaveParams(store, blob);
   ParamStore other;
   other.Create("w", 3, 3);
-  EXPECT_THROW(LoadParams(other, path), std::logic_error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  ParamStore store;
-  EXPECT_THROW(LoadParams(store, "/nonexistent/params.bin"),
-               std::logic_error);
+  EXPECT_THROW(LoadParams(other, blob), std::logic_error);
 }
 
 }  // namespace

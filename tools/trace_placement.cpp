@@ -16,10 +16,8 @@
 #include <utility>
 
 #include "core/expert_policies.h"
-#include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "models/zoo.h"
-#include "partition/metis_like.h"
 #include "sim/cluster_ingest.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
@@ -39,21 +37,7 @@ sim::Placement MakePlacement(const std::string& policy,
     return core::SingleGpuPlacement(graph, cluster);
   }
   if (policy == "balanced") {
-    partition::MetisOptions options;
-    options.num_parts = 4 * cluster.num_devices();
-    options.seed = seed;
-    const auto grouping = partition::MetisPartition(graph, options);
-    graph::GroupedGraph grouped(graph, grouping, options.num_parts);
-    const auto gpus = cluster.Gpus();
-    std::vector<std::int32_t> group_devices(
-        static_cast<std::size_t>(options.num_parts));
-    for (int g = 0; g < options.num_parts; ++g) {
-      group_devices[static_cast<std::size_t>(g)] =
-          gpus[static_cast<std::size_t>(g) % gpus.size()];
-    }
-    sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
-    placement.Normalize(graph, cluster);
-    return placement;
+    return core::MetisBalancedPlacement(graph, cluster, seed);
   }
   if (policy == "random") {
     support::Rng rng(seed);
