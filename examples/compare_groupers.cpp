@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                              {"bisection", bisect_grouping}};
   for (auto& entry : entries) {
     core::PlacementEnvironment env(graph, cluster);
-    std::unique_ptr<rl::PolicyAgent> agent;
+    std::unique_ptr<core::PolicyAgent> agent;
     if (entry.grouping.empty()) {
       agent = core::MakeEagleAgent(graph, cluster, dims, seed);
     } else {

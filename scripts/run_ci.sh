@@ -15,7 +15,10 @@
 #      bench_table1 at 160 samples (its feed-forward and METIS runs
 #      repeat an earlier placement on 25-30% of evaluations, within and
 #      across minibatches) must print the same results and write
-#      byte-identical CSVs with 1 and with 4 evaluation threads,
+#      byte-identical CSVs with 1 and with 4 evaluation threads; so must
+#      BERT bench_fig7 at 60 samples, which covers the paper approaches
+#      (Post with PPO+CE, Hierarchical Planner with REINFORCE, EAGLE
+#      with PPO) down to their per-sample history files,
 #   7. a kernel-bench smoke run: bench_micro --smoke must complete and
 #      emit well-formed BENCH_kernels.json (tiny shapes — it guards the
 #      harness and the naive-reference plumbing, not the perf ratios;
@@ -87,6 +90,15 @@ for T in 1 4; do
 done
 diff "$SMOKE/t1.out" "$SMOKE/t4.out"
 cmp "$SMOKE/t1_table1.csv" "$SMOKE/t4_table1.csv"
+for T in 1 4; do
+  "$BUILD/bench/bench_fig7" --samples=60 --threads="$T" \
+    --csv="$SMOKE/f${T}_" 2>&1 |
+    sed -E 's/^\[[^]]*\] //; s/wall [0-9.]+ s/wall s/' >"$SMOKE/f$T.out"
+done
+diff "$SMOKE/f1.out" "$SMOKE/f4.out"
+for F in "$SMOKE"/f1_fig7_*_history.csv "$SMOKE"/f1_fig7_*_history.json; do
+  cmp "$F" "$SMOKE/f4_${F#"$SMOKE"/f1_}"
+done
 echo THREAD_IDENTITY_CLEAN
 
 echo "=== kernel bench smoke ==="

@@ -1,5 +1,6 @@
 #include "core/eagle_agent.h"
 
+#include "partition/metis_like.h"
 #include "support/check.h"
 
 namespace eagle::core {
@@ -10,7 +11,7 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
     : graph_(&graph), cluster_(&cluster), config_(std::move(config)) {
   support::Rng rng(config_.seed);
   const int k = config_.dims.num_groups;
-  const bool adjacency_in_embedding = config_.placer == PlacerKind::kSeq2Seq;
+  const bool adjacency_in_embedding = config_.placer != PlacerKind::kGcn;
   const int embed_dim = graph::GroupEmbeddingDim(k, adjacency_in_embedding);
   const int bridge_dim =
       config_.use_bridge ? config_.dims.bridge_hidden : 0;
@@ -38,22 +39,28 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
 
   const int placer_input_dim = embed_dim + bridge_dim;
   const int num_devices = cluster.num_devices();
-  if (config_.placer == PlacerKind::kSeq2Seq) {
-    seq_placer_ = Seq2SeqPlacer(
-        store_, placer_input_dim, config_.dims.placer_hidden,
-        config_.dims.attn_dim, config_.dims.device_embed_dim, num_devices,
-        config_.attention, rng);
-  } else {
-    gcn_placer_ = GcnPlacer(store_, placer_input_dim,
-                            config_.dims.placer_hidden, num_devices, rng);
+  switch (config_.placer) {
+    case PlacerKind::kSeq2Seq:
+      seq_placer_ = Seq2SeqPlacer(
+          store_, placer_input_dim, config_.dims.placer_hidden,
+          config_.dims.attn_dim, config_.dims.device_embed_dim, num_devices,
+          config_.attention, rng);
+      break;
+    case PlacerKind::kGcn:
+      gcn_placer_ = GcnPlacer(store_, placer_input_dim,
+                              config_.dims.placer_hidden, num_devices, rng);
+      break;
+    case PlacerKind::kMlp:
+      mlp_placer_ = MlpPlacer(store_, placer_input_dim,
+                              config_.dims.placer_hidden, num_devices, rng);
+      break;
   }
 
-  op_features_ = MakeOpFeatures(graph, config_.features);
-  if (config_.grouper == GrouperKind::kLearned &&
-      config_.grouper_locality_prior) {
+  if (config_.grouper == GrouperKind::kLearned) {
+    op_features_ = MakeOpFeatures(graph, config_.features);
     locality_prior_ = MakeLocalityPrior(graph, k);
+    grouper_weight_ = static_cast<double>(k) / std::max(1, graph.num_ops());
   }
-  grouper_weight_ = static_cast<double>(k) / std::max(1, graph.num_ops());
 }
 
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
@@ -71,9 +78,8 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
     nn::Var features = tape.Input(op_features_);
     const graph::Grouping* forced_grouping =
         forced != nullptr ? &forced->grouping : nullptr;
-    auto grouped = grouper_.Run(
-        tape, features, rng, forced_grouping,
-        locality_prior_.empty() ? nullptr : &locality_prior_);
+    auto grouped =
+        grouper_.Run(tape, features, rng, forced_grouping, &locality_prior_);
     out.grouping = grouped.grouping;
     grouper_logp = grouped.log_prob;
     grouper_entropy = grouped.entropy;
@@ -81,7 +87,7 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
 
     nn::Tensor embeds = MakeGroupEmbeddings(
         *graph_, out.grouping, k, config_.features,
-        /*include_adjacency=*/config_.placer == PlacerKind::kSeq2Seq);
+        /*include_adjacency=*/config_.placer != PlacerKind::kGcn);
     group_embeddings = tape.Input(std::move(embeds));
     if (config_.use_bridge) {
       nn::Var conditioning =
@@ -96,15 +102,22 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
   PlacerRollout rollout;
   const std::vector<std::int32_t>* forced_devices =
       forced != nullptr ? &forced->group_devices : nullptr;
-  if (config_.placer == PlacerKind::kSeq2Seq) {
-    rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
-  } else {
-    nn::Var adjacency = tape.Input(
-        config_.grouper == GrouperKind::kFixed
-            ? fixed_adjacency_
-            : MakeGroupAdjacency(*graph_, out.grouping, k));
-    rollout = gcn_placer_.Run(tape, group_embeddings, adjacency, rng,
-                              forced_devices);
+  switch (config_.placer) {
+    case PlacerKind::kSeq2Seq:
+      rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
+      break;
+    case PlacerKind::kGcn: {
+      nn::Var adjacency = tape.Input(
+          config_.grouper == GrouperKind::kFixed
+              ? fixed_adjacency_
+              : MakeGroupAdjacency(*graph_, out.grouping, k));
+      rollout = gcn_placer_.Run(tape, group_embeddings, adjacency, rng,
+                                forced_devices);
+      break;
+    }
+    case PlacerKind::kMlp:
+      rollout = mlp_placer_.Run(tape, group_embeddings, rng, forced_devices);
+      break;
   }
   out.devices = rollout.devices;
 
@@ -195,6 +208,25 @@ std::unique_ptr<HierarchicalAgent> MakeFixedGrouperAgent(
   config.attention = attention;
   config.use_bridge = false;
   config.features = graph::FeatureMode::kReconstructed;
+  config.seed = seed;
+  return std::make_unique<HierarchicalAgent>(graph, cluster,
+                                             std::move(config));
+}
+
+std::unique_ptr<HierarchicalAgent> MakePostAgent(
+    const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
+    int num_groups, std::uint64_t seed) {
+  partition::MetisOptions metis;
+  metis.num_parts = num_groups;
+  metis.seed = seed;
+  HierarchicalAgentConfig config;
+  config.display_name = "Post";
+  config.dims.num_groups = num_groups;
+  config.grouper = GrouperKind::kFixed;
+  config.fixed_grouping = partition::MetisPartition(graph, metis);
+  config.placer = PlacerKind::kMlp;
+  config.use_bridge = false;
+  config.features = graph::FeatureMode::kRaw;
   config.seed = seed;
   return std::make_unique<HierarchicalAgent>(graph, cluster,
                                              std::move(config));

@@ -6,12 +6,14 @@
 //   Hierarchical Planner — learned FFN grouper, no bridge, seq2seq placer
 //                          with attention-after, raw HP-style features
 //                          (our reproduction of Mirhoseini et al. [5]);
+//   Post                 — fixed METIS grouping + per-group MLP placer,
+//                          raw features (Gao et al.'s simple policy);
 //   fixed-grouper agents — METIS / fluid-communities / any precomputed
 //                          grouping with a trainable placer (Tables I–II).
 //
 // The joint decision log-probability is
 //   log π = log π_placer + w_g · log π_grouper,
-// with w_g defaulting to num_groups/num_ops: the grouper term is a sum of
+// with w_g = num_groups/num_ops: the grouper term is a sum of
 // thousands of per-op categoricals whose raw magnitude would swamp the
 // placer term and blow up PPO importance ratios; scaling it to the same
 // order as the placer term (≈ one categorical per group) keeps the joint
@@ -34,7 +36,7 @@
 namespace eagle::core {
 
 enum class GrouperKind { kLearned, kFixed };
-enum class PlacerKind { kSeq2Seq, kGcn };
+enum class PlacerKind { kSeq2Seq, kGcn, kMlp };
 
 struct HierarchicalAgentConfig {
   std::string display_name = "EAGLE";
@@ -44,10 +46,6 @@ struct HierarchicalAgentConfig {
   PlacerKind placer = PlacerKind::kSeq2Seq;
   AttentionVariant attention = AttentionVariant::kBefore;
   bool use_bridge = true;
-  // Additive topological-banding prior on the grouper logits (see
-  // GrouperFFN::Logits). On for both learned-grouper agents: it is a
-  // grouper-input design, not an EAGLE-vs-HP differentiator.
-  bool grouper_locality_prior = true;
   graph::FeatureMode features = graph::FeatureMode::kReconstructed;
   std::uint64_t seed = 1;
 };
@@ -84,6 +82,9 @@ class HierarchicalAgent : public PolicyAgent {
   BridgeRnn bridge_;
   Seq2SeqPlacer seq_placer_;
   GcnPlacer gcn_placer_;
+  MlpPlacer mlp_placer_;
+  // Learned-grouper inputs: op features and the additive topological-
+  // banding prior on the grouper logits (see GrouperFFN::Logits).
   nn::Tensor op_features_;
   nn::Tensor locality_prior_;
   // Cached embeddings for the fixed-grouper case.
@@ -106,5 +107,13 @@ std::unique_ptr<HierarchicalAgent> MakeFixedGrouperAgent(
     const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
     graph::Grouping grouping, PlacerKind placer, AttentionVariant attention,
     const AgentDims& dims, std::uint64_t seed, const std::string& name);
+
+// Post's published grouping is a coarse, manually-defined one; 16 METIS
+// groups stand in for it (finer groupings would give Post more
+// flexibility than the original had). Its placer width stays at the
+// default 64 units at either dimension set.
+std::unique_ptr<HierarchicalAgent> MakePostAgent(
+    const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
+    int num_groups = 16, std::uint64_t seed = 1);
 
 }  // namespace eagle::core

@@ -28,7 +28,7 @@ constexpr char kEndMarker[8] = {'E', 'A', 'G', 'L', 'C', 'K', 'P', 'E'};
 using support::BinaryReader;
 using support::BinaryWriter;
 
-void WriteSample(BinaryWriter& out, const Sample& sample) {
+void WriteSample(BinaryWriter& out, const core::Sample& sample) {
   out.I32Vector(sample.grouping);
   out.I32Vector(sample.group_devices);
   out.Pod(sample.logp);
@@ -40,8 +40,8 @@ void WriteSample(BinaryWriter& out, const Sample& sample) {
   out.Pod(sample.advantage);
 }
 
-Sample ReadSample(BinaryReader& in, int version) {
-  Sample sample;
+core::Sample ReadSample(BinaryReader& in, int version) {
+  core::Sample sample;
   sample.grouping = in.I32Vector();
   sample.group_devices = in.I32Vector();
   sample.logp = in.Pod<double>();
@@ -54,15 +54,15 @@ Sample ReadSample(BinaryReader& in, int version) {
   return sample;
 }
 
-void WriteSamples(BinaryWriter& out, const std::vector<Sample>& samples) {
+void WriteSamples(BinaryWriter& out, const std::vector<core::Sample>& samples) {
   out.Pod(static_cast<std::uint32_t>(samples.size()));
-  for (const Sample& sample : samples) WriteSample(out, sample);
+  for (const core::Sample& sample : samples) WriteSample(out, sample);
 }
 
 // No reserve from the stored count: the vector grows only as records
 // actually read, so a corrupt count fails on the first missing one.
-std::vector<Sample> ReadSamples(BinaryReader& in, int version) {
-  std::vector<Sample> samples;
+std::vector<core::Sample> ReadSamples(BinaryReader& in, int version) {
+  std::vector<core::Sample> samples;
   const auto count = in.Pod<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
     samples.push_back(ReadSample(in, version));

@@ -6,8 +6,8 @@
 
 namespace eagle::rl {
 
-PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                   const std::vector<Sample>& batch,
+PpoStats PpoUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                   const std::vector<core::Sample>& batch,
                    const PpoOptions& options) {
   EAGLE_CHECK(!batch.empty());
   EAGLE_CHECK(options.epochs >= 1);
@@ -22,13 +22,13 @@ PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
     nn::Var loss;
     bool first = true;
     double ratio_sum = 0.0;
-    for (const Sample& sample : batch) {
+    for (const core::Sample& sample : batch) {
       const auto score = agent.ScoreDecision(tape, sample);
-      // log r = logp_new - logp_old (optionally per-decision), clamped
-      // before exponentiation.
+      // log r = (logp_new - logp_old) / num_decisions, clamped before
+      // exponentiation.
       nn::Var delta =
           tape.AddScalar(score.logp, -static_cast<float>(sample.logp));
-      if (options.normalize_by_decisions && sample.num_decisions > 1) {
+      if (sample.num_decisions > 1) {
         delta = tape.Scale(
             delta, 1.0f / static_cast<float>(sample.num_decisions));
       }

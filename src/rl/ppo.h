@@ -7,12 +7,17 @@
 // Multiple epochs re-score the same minibatch under the updated policy;
 // per the paper: 10 placements per minibatch, 4 epochs, ε = 0.3,
 // entropy coefficient 0.01.
+//
+// The log-ratio is divided by Sample::num_decisions (a per-decision
+// geometric-mean ratio). Without this, a joint policy over hundreds of
+// categoricals saturates the clip region after the first epoch and PPO
+// degenerates into a single noisy update.
 #pragma once
 
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/episode.h"
 
 namespace eagle::rl {
 
@@ -24,11 +29,6 @@ struct PpoOptions {
   // sampling logp (common with joint grouper+placer log-probs over
   // thousands of actions); the log-ratio is clamped to keep exp() finite.
   double max_abs_log_ratio = 20.0;
-  // Divide the log-ratio by Sample::num_decisions (per-decision geometric
-  // mean ratio). Without this, a joint policy over hundreds of
-  // categoricals saturates the clip region after the first epoch and PPO
-  // degenerates into a single noisy update.
-  bool normalize_by_decisions = true;
 };
 
 struct PpoStats {
@@ -36,8 +36,8 @@ struct PpoStats {
   double mean_ratio_last = 0.0;
 };
 
-PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                   const std::vector<Sample>& batch,
+PpoStats PpoUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                   const std::vector<core::Sample>& batch,
                    const PpoOptions& options);
 
 }  // namespace eagle::rl

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
+#include "core/group_embedding.h"
 #include "core/grouper_ffn.h"
-#include "core/post_agent.h"
 #include "models/synthetic.h"
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
@@ -55,27 +57,31 @@ TEST(LocalityPrior, ShapeAndBandStructure) {
 }
 
 TEST(LocalityPrior, ProducesContiguousInitialGroups) {
-  // With the prior and an untrained FFN, sampled groupings should have a
-  // far smaller cut than without the prior.
+  // With the prior, an untrained FFN samples groupings with a far smaller
+  // cut than the same weights and RNG stream without it.
   auto graph = TestGraph();
-  const auto cluster = sim::MakeDefaultCluster();
   const auto wg = partition::BuildWeightedGraph(graph);
+  const auto dims = TinyDims();
+  nn::ParamStore store;
+  support::Rng init_rng(5);
+  GrouperFFN grouper(store, graph::OpFeatureDim(), dims.grouper_hidden,
+                     dims.num_groups, init_rng);
+  const auto features =
+      MakeOpFeatures(graph, graph::FeatureMode::kReconstructed);
+  const auto prior = MakeLocalityPrior(graph, dims.num_groups);
 
-  auto sample_cut = [&](bool prior_on) {
-    HierarchicalAgentConfig config;
-    config.dims = TinyDims();
-    config.grouper_locality_prior = prior_on;
-    config.seed = 5;
-    HierarchicalAgent agent(graph, cluster, std::move(config));
+  auto sample_cut = [&](const nn::Tensor* locality_prior) {
     support::Rng rng(6);
     std::int64_t total = 0;
     for (int i = 0; i < 5; ++i) {
-      const auto sample = agent.SampleDecision(rng);
-      total += partition::CutWeight(wg, sample.grouping);
+      nn::Tape tape;
+      const auto grouped = grouper.Run(tape, tape.Input(features), &rng,
+                                       nullptr, locality_prior);
+      total += partition::CutWeight(wg, grouped.grouping);
     }
     return total;
   };
-  EXPECT_LT(sample_cut(true), sample_cut(false));
+  EXPECT_LT(sample_cut(&prior), sample_cut(nullptr));
 }
 
 TEST(Agents, SamplingDeterministicPerSeed) {
@@ -151,9 +157,7 @@ TEST(Agents, LearnedGcnPlacerWithLearnedGrouper) {
   HierarchicalAgentConfig config;
   config.dims = TinyDims();
   config.placer = PlacerKind::kGcn;
-  config.use_bridge = false;  // bridge requires seq2seq-style embeddings? no
-                              // — it concatenates, works with GCN too, but
-                              // keep this variant minimal.
+  config.use_bridge = false;
   config.seed = 41;
   HierarchicalAgent agent(graph, cluster, std::move(config));
   support::Rng rng(42);
@@ -177,6 +181,31 @@ TEST(Agents, EntropyWithinCategoricalBounds) {
   const float bound = std::log(5.0f) + std::log(6.0f) + 1e-3f;
   EXPECT_GE(entropy, 0.0f);
   EXPECT_LE(entropy, bound);
+}
+
+TEST(Agents, PostGoldenPpoCe) {
+  // Pins Post's numbers end to end: its first sampled decision and a
+  // short PPO+CE run long enough for the CE refit (every 20 samples) to
+  // run.
+  auto graph = TestGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  auto agent = MakePostAgent(graph, cluster, 6, 61);
+  support::Rng rng(62);
+  const auto first = agent->SampleDecision(rng);
+  EXPECT_EQ(first.group_devices,
+            (std::vector<std::int32_t>{0, 4, 3, 4, 0, 0}));
+  EXPECT_EQ(first.logp, -10.142132759094238);
+
+  PlacementEnvironment env(graph, cluster);
+  rl::TrainerOptions options;
+  options.algorithm = rl::Algorithm::kPpoCe;
+  options.total_samples = 40;
+  options.ce_interval = 20;
+  options.seed = 63;
+  const auto result = rl::TrainAgent(*agent, env, options);
+  EXPECT_EQ(result.best_per_step_seconds, 0.010462289626481387);
+  EXPECT_EQ(result.invalid_samples, 0);
+  EXPECT_EQ(result.total_samples, 40);
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::string ParamBlob(PolicyAgent& agent) {
+std::string ParamBlob(core::PolicyAgent& agent) {
   std::ostringstream blob;
   nn::SaveParams(agent.params(), blob);
   return blob.str();
@@ -189,7 +189,7 @@ TEST(Checkpoint, DataRoundTrip) {
   data.rng_state = {11, 22, 33, 44};
   data.baseline_value = -0.75;
   data.baseline_initialized = true;
-  Sample sample;
+  core::Sample sample;
   sample.grouping = {0, 1, 1};
   sample.group_devices = {2, 4};
   sample.logp = -1.5;
@@ -273,7 +273,7 @@ TEST(Checkpoint, SampleEvalStreamRoundTrips) {
   auto agent = fix.Agent(5);
   nn::Adam optimizer(agent->params());
   CheckpointData data;
-  Sample sample;
+  core::Sample sample;
   sample.grouping = {0, 1};
   sample.group_devices = {2, 3};
   sample.eval_stream = 0x0123456789abcdefULL;
@@ -371,10 +371,10 @@ struct GoldenCheckpoint {
     // Created after the step, so Adam never touched it: no moment slot.
     store.Create("frozen", 1, 2)->value.at(0, 1) = 3.0f;
 
-    const Sample good{{0, 1, 1, 0}, {2, 1}, -2.25, 6, 0x0123456789abcdefULL,
-                      true, 0.75, -0.5, 0.125};
-    const Sample oom{{1, 0, 0, 1}, {2, 1}, -2.25, 6, 9, false, 0.75, -7.5,
-                     0.125};
+    const core::Sample good{{0, 1, 1, 0}, {2, 1}, -2.25, 6,
+                            0x0123456789abcdefULL, true, 0.75, -0.5, 0.125};
+    const core::Sample oom{{1, 0, 0, 1}, {2, 1}, -2.25, 6, 9, false, 0.75,
+                           -7.5, 0.125};
     const double inf = std::numeric_limits<double>::infinity();
     data = CheckpointData{
         .result = {true, sim::Placement::FromRaw({2, 1, 1, 2}), 0.75, 0.5,

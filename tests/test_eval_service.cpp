@@ -60,7 +60,7 @@ struct Fixture {
   }
 };
 
-std::string ParamBlob(rl::PolicyAgent& agent) {
+std::string ParamBlob(core::PolicyAgent& agent) {
   std::ostringstream blob;
   nn::SaveParams(agent.params(), blob);
   return blob.str();
