@@ -244,8 +244,7 @@ inline void AppendSnapshotJson(std::ostringstream& os,
 
 inline rl::TrainResult TrainOnBenchmark(
     core::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
-    const BenchConfig& config,
-    const rl::ProgressCallback& on_progress = nullptr) {
+    const BenchConfig& config) {
   namespace json = support::json;
   namespace telemetry = support::telemetry;
   support::Stopwatch stopwatch;
@@ -300,7 +299,7 @@ inline rl::TrainResult TrainOnBenchmark(
     };
   }
 
-  auto result = rl::TrainAgent(agent, *context.env, options, on_progress);
+  auto result = rl::TrainAgent(agent, *context.env, options);
 
   if (telemetry::Enabled() && run_start_snap != nullptr) {
     const support::metrics::Snapshot delta =

@@ -130,7 +130,7 @@ GemmRow RunGemmCase(const GemmCase& shape, int repeats, double target_seconds) {
   nn::UniformInit(b, -1, 1, rng);
   out.Fill(0.0f);
   // The pre-PR contender runs on the same values but in seed storage
-  // (std::vector-backed, malloc alignment): the arena's 32-byte
+  // (std::vector-backed, malloc alignment): nn::Tensor's 32-byte
   // alignment is part of this rewrite's win and must not be credited to
   // the baseline.
   bench::prepr::Tensor pa(a), pb(b), pout(out);
@@ -245,7 +245,7 @@ std::string RenderJson(const std::vector<GemmRow>& gemm,
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   os << "  \"repeats\": " << repeats << ",\n";
   os << "  \"simd\": "
-#ifdef EAGLE_SIMD
+#if defined(__AVX2__) && defined(__FMA__)
      << "true"
 #else
      << "false"

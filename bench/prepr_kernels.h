@@ -9,9 +9,10 @@
 // prepr::Tensor reproduces the seed storage too: the old nn::Tensor kept
 // its data in a std::vector<float>, whose glibc allocation lands 16
 // bytes past a 32-byte boundary — measurably slower at the 256-wide
-// shapes than the 32-byte-aligned arena the rewrite introduced. Timing
-// the old kernels on new-arena operands flatters the baseline by up to
-// 2x, so the pre-PR column gets the pre-PR allocator as well.
+// shapes than the 32-byte-aligned storage the rewrite introduced (still
+// nn/arena.h). Timing the old kernels on aligned operands flatters the
+// baseline by up to 2x, so the pre-PR column gets the pre-PR allocator
+// as well.
 //
 // Not an oracle: the zero-skip drops NaN/Inf propagation and contraction
 // changes rounding, which is exactly why these are frozen *here* and not
@@ -32,7 +33,7 @@ class Tensor {
   Tensor(int rows, int cols)
       : rows_(rows), cols_(cols),
         data_(static_cast<std::size_t>(rows) * cols, 0.0f) {}
-  // Copies an arena-backed tensor's contents into seed storage.
+  // Copies an nn::Tensor's contents into seed storage.
   explicit Tensor(const nn::Tensor& t) : Tensor(t.rows(), t.cols()) {
     for (int i = 0; i < rows_; ++i) {
       const float* src = t.row(i);

@@ -33,9 +33,6 @@ class Seq2SeqPlacer {
                     support::Rng* rng,
                     const std::vector<std::int32_t>* forced) const;
 
-  int num_devices() const { return num_devices_; }
-  AttentionVariant variant() const { return variant_; }
-
  private:
   nn::BiLstmEncoder encoder_;
   nn::LstmCell decoder_;

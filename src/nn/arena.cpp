@@ -2,127 +2,25 @@
 
 #include <cstddef>
 #include <new>
-#include <vector>
 
 namespace eagle::nn {
 namespace {
 
-constexpr std::size_t kAlign = 32;
-constexpr int kMinBucketLog2 = 6;   // 64 floats (256 B) smallest class
-constexpr int kMaxBucketLog2 = 24;  // 16M floats (64 MB) largest class
-constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;
-// Per-thread cap on cached bytes; releases beyond it free immediately.
-constexpr std::uint64_t kMaxPooledBytes = 64ull << 20;
-
-// Smallest size class holding `count` floats, or -1 when too large to pool.
-int BucketFor(std::int64_t count) {
-  std::int64_t capacity = std::int64_t{1} << kMinBucketLog2;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    if (count <= capacity) return b;
-    capacity <<= 1;
-  }
-  return -1;
-}
-
-std::int64_t BucketCapacity(int bucket) {
-  return std::int64_t{1} << (kMinBucketLog2 + bucket);
-}
-
-float* RawAlloc(std::int64_t count) {
-  return static_cast<float*>(::operator new(
-      static_cast<std::size_t>(count) * sizeof(float),
-      std::align_val_t{kAlign}));
-}
-
-void RawFree(float* ptr) { ::operator delete(ptr, std::align_val_t{kAlign}); }
-
-// Tracks whether the calling thread's arena exists yet / still. Tensors
-// destroyed during thread teardown (after the arena's own destructor ran)
-// must not resurrect it, so releases in that window free directly.
-enum : int { kUnborn = 0, kAlive = 1, kDead = 2 };
-thread_local int tl_arena_state = kUnborn;
-
-struct ThreadArena {
-  ThreadArena() { tl_arena_state = kAlive; }
-  ~ThreadArena() {
-    Trim();
-    tl_arena_state = kDead;
-  }
-
-  void Trim() {
-    for (auto& list : free_lists) {
-      for (float* ptr : list) RawFree(ptr);
-      list.clear();
-    }
-    stats.pooled_bytes = 0;
-  }
-
-  std::vector<float*> free_lists[kNumBuckets];
-  ArenaStats stats;
-};
-
-ThreadArena& Arena() {
-  thread_local ThreadArena arena;
-  return arena;
-}
+constexpr std::align_val_t kAlign{32};
 
 }  // namespace
 
-ArenaStats ArenaStatsSnapshot() {
-  if (tl_arena_state == kDead) return {};
-  return Arena().stats;
-}
-
-void ArenaTrim() {
-  if (tl_arena_state == kDead) return;
-  Arena().Trim();
-}
+ArenaStats ArenaStatsSnapshot() { return {}; }
 
 namespace detail {
 
 float* ArenaAcquire(std::int64_t count) {
   if (count <= 0) return nullptr;
-  const int bucket = BucketFor(count);
-  if (bucket < 0) return RawAlloc(count);
-  // Even with the arena gone (thread teardown) the block must be
-  // full-bucket-sized: a surviving Tensor may release it into another
-  // thread's pool, which assumes class-sized blocks.
-  if (tl_arena_state == kDead) return RawAlloc(BucketCapacity(bucket));
-  ThreadArena& arena = Arena();
-  ++arena.stats.acquires;
-  auto& list = arena.free_lists[bucket];
-  if (!list.empty()) {
-    float* ptr = list.back();
-    list.pop_back();
-    ++arena.stats.pool_hits;
-    arena.stats.pooled_bytes -=
-        static_cast<std::uint64_t>(BucketCapacity(bucket)) * sizeof(float);
-    return ptr;
-  }
-  ++arena.stats.fresh_allocs;
-  // Pooled blocks are always full-bucket-sized so any same-class release,
-  // from any thread, can recycle them interchangeably.
-  return RawAlloc(BucketCapacity(bucket));
+  return static_cast<float*>(::operator new(
+      static_cast<std::size_t>(count) * sizeof(float), kAlign));
 }
 
-void ArenaRelease(float* ptr, std::int64_t count) {
-  if (ptr == nullptr) return;
-  const int bucket = BucketFor(count);
-  if (bucket < 0 || tl_arena_state == kDead) {
-    RawFree(ptr);
-    return;
-  }
-  ThreadArena& arena = Arena();
-  ++arena.stats.releases;
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(BucketCapacity(bucket)) * sizeof(float);
-  if (arena.stats.pooled_bytes + bytes > kMaxPooledBytes) {
-    RawFree(ptr);
-    return;
-  }
-  arena.free_lists[bucket].push_back(ptr);
-  arena.stats.pooled_bytes += bytes;
-}
+void ArenaRelease(float* ptr) { ::operator delete(ptr, kAlign); }
 
 }  // namespace detail
 }  // namespace eagle::nn

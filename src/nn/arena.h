@@ -1,50 +1,30 @@
-// Per-thread freelist arena backing nn::Tensor storage.
+// Aligned storage for nn::Tensor.
 //
-// A training round records and tears down a tape with thousands of nodes,
-// each holding one or two small tensors; with vector-backed storage every
-// node was a malloc/free pair on the hot path. The arena keeps released
-// buffers in thread-local power-of-two size-class freelists, so a tape
-// that is rebuilt with the same shapes (every PPO epoch) allocates
-// nothing after the first pass. Tape::Reset destroys nodes in LIFO order,
-// which replays buffers back onto the freelists so the next forward pass
-// pops them in exactly the order it wants them.
-//
-// Determinism: the arena hands out storage, never values — every Tensor
-// constructor fills or copies its full extent — so pooling cannot change
-// a single output bit. Thread safety: freelists are thread_local and a
-// buffer released on a different thread than it was acquired on simply
-// joins the releasing thread's pool, so there is no shared state at all.
-// Lifetime: each thread's pool is trimmed when the thread exits; tensors
-// that outlive their birth thread are safe because the underlying blocks
-// come from the global aligned operator new.
+// Every Tensor buffer is one 32-byte-aligned global operator new block,
+// freed when the Tensor releases it. The alignment is what the GEMM
+// kernels' SIMD loads want (bench/prepr_kernels.h measured the 256-wide
+// shapes on it). Contents are uninitialized; every Tensor constructor
+// fills or copies its full extent.
 #pragma once
 
 #include <cstdint>
 
 namespace eagle::nn {
 
-// Counters for the calling thread's arena (pooled size classes only;
-// oversized buffers go straight to the global allocator uncounted).
 struct ArenaStats {
   std::uint64_t acquires = 0;
-  std::uint64_t releases = 0;
-  std::uint64_t pool_hits = 0;     // acquires served from a freelist
-  std::uint64_t fresh_allocs = 0;  // acquires that reached operator new
-  std::uint64_t pooled_bytes = 0;  // bytes currently cached in freelists
+  std::uint64_t pool_hits = 0;
+  std::uint64_t fresh_allocs = 0;
 };
 
+// Inert; its only reader is e2ebench/harness.cpp. Delete both together.
 ArenaStats ArenaStatsSnapshot();
-
-// Frees every buffer cached by the calling thread's arena.
-void ArenaTrim();
 
 namespace detail {
 
-// All returned pointers are 32-byte aligned (SIMD loads in the GEMM
-// kernels). Contents are uninitialized. `count` is in floats and must be
-// the same value at release that was passed at acquire.
+// Returns nullptr for count <= 0.
 float* ArenaAcquire(std::int64_t count);
-void ArenaRelease(float* ptr, std::int64_t count);
+void ArenaRelease(float* ptr);
 
 }  // namespace detail
 }  // namespace eagle::nn

@@ -1,7 +1,7 @@
 // The one multiply-accumulate primitive shared by every GEMM path.
 //
 // Bit-identity across the naive reference, the blocked portable kernels,
-// and the EAGLE_SIMD intrinsics path requires every variant to perform
+// and the AVX2+FMA intrinsics path requires every variant to perform
 // the *same rounding sequence* per output element. The compiler's freedom
 // to contract `acc + a*b` into an fma (or not) per call site would break
 // that, so the whole repo builds with -ffp-contract=off and hot loops

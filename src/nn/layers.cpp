@@ -9,8 +9,8 @@ namespace eagle::nn {
 Parameter* ParamStore::Create(const std::string& name, int rows, int cols) {
   EAGLE_CHECK_MSG(Find(name) == nullptr, "duplicate parameter " << name);
   // One-time parameter construction at model-build time; parameters are
-  // long-lived (they outlive every forward/backward pass), so the tensor
-  // arena — a per-step scratch pool — is the wrong owner for them.
+  // long-lived (they outlive every forward/backward pass), so this
+  // allocation is off the per-step hot path.
   // eagle-lint: allow(HP02)
   auto p = std::make_unique<Parameter>();
   p->name = name;

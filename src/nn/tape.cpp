@@ -6,9 +6,7 @@
 namespace eagle::nn {
 
 void Tape::Reset() {
-  // Newest-first so tensor buffers hit the arena freelists in LIFO
-  // order (vector::clear would destroy front-to-back).
-  while (!nodes_.empty()) nodes_.pop_back();
+  nodes_.clear();
   param_cache_.clear();
 }
 
@@ -30,23 +28,22 @@ Tensor& Tape::GradRef(Var v) {
   return n.grad;
 }
 
-Var Tape::Push(Tensor value, bool needs_grad, BackwardFn backward) {
+Var Tape::Push(Tensor value, bool needs_grad) {
   Node n;
   n.value = std::move(value);
   n.needs_grad = needs_grad;
-  n.backward = std::move(backward);
   nodes_.push_back(std::move(n));
   return Var{static_cast<std::int32_t>(nodes_.size()) - 1};
 }
 
-Var Tape::Input(Tensor value) { return Push(std::move(value), false, {}); }
+Var Tape::Input(Tensor value) { return Push(std::move(value), false); }
 
 Var Tape::Param(Parameter* parameter) {
   EAGLE_CHECK(parameter != nullptr);
   for (const auto& [cached, var] : param_cache_) {
     if (cached == parameter) return var;
   }
-  Var v = Push(parameter->value, true, {});
+  Var v = Push(parameter->value, true);
   node(v).bound = parameter;
   param_cache_.emplace_back(parameter, v);
   return v;
@@ -61,7 +58,7 @@ Var Tape::MatMul(Var a, Var b) {
   Tensor out(av.rows(), bv.cols());
   GemmAccum(av, bv, out);
   const bool ng = node(a).needs_grad || node(b).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result]() {
       const Tensor& g = node(result).grad;
@@ -86,7 +83,7 @@ Var Tape::Add(Var a, Var b) {
     for (int c = 0; c < out.cols(); ++c) orow[c] += brow[c];
   }
   const bool ng = node(a).needs_grad || node(b).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result, broadcast]() {
       const Tensor& g = node(result).grad;
@@ -115,7 +112,7 @@ Var Tape::Sub(Var a, Var b) {
   Tensor out = av;
   Axpy(-1.0f, bv, out);
   const bool ng = node(a).needs_grad || node(b).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result]() {
       const Tensor& g = node(result).grad;
@@ -139,7 +136,7 @@ Var Tape::Mul(Var a, Var b) {
     for (std::int64_t i = 0; i < out.size(); ++i) od[i] *= bd[i];
   }
   const bool ng = node(a).needs_grad || node(b).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result]() {
       const Tensor& g = node(result).grad;
@@ -167,7 +164,7 @@ Var Tape::Scale(Var a, float s) {
   float* od = out.data();
   for (std::int64_t i = 0; i < out.size(); ++i) od[i] *= s;
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result, s]() {
       Axpy(s, node(result).grad, GradRef(a));
@@ -181,7 +178,7 @@ Var Tape::AddScalar(Var a, float s) {
   float* od = out.data();
   for (std::int64_t i = 0; i < out.size(); ++i) od[i] += s;
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       Axpy(1.0f, node(result).grad, GradRef(a));
@@ -203,7 +200,7 @@ Tensor MapTensor(const Tensor& in, F f) {
 Var Tape::Tanh(Var a) {
   Tensor out = MapTensor(value(a), [](float x) { return std::tanh(x); });
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -224,7 +221,7 @@ Var Tape::Sigmoid(Var a) {
     return 1.0f / (1.0f + std::exp(-x));
   });
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -243,7 +240,7 @@ Var Tape::Sigmoid(Var a) {
 Var Tape::Relu(Var a) {
   Tensor out = MapTensor(value(a), [](float x) { return x > 0 ? x : 0.0f; });
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -262,7 +259,7 @@ Var Tape::Relu(Var a) {
 Var Tape::Exp(Var a) {
   Tensor out = MapTensor(value(a), [](float x) { return std::exp(x); });
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -289,7 +286,7 @@ Var Tape::MinElem(Var a, Var b) {
       od[i] = std::min(od[i], bd[i]);
   }
   const bool ng = node(a).needs_grad || node(b).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result]() {
       const Tensor& g = node(result).grad;
@@ -318,7 +315,7 @@ Var Tape::Clamp(Var a, float lo, float hi) {
     return std::min(hi, std::max(lo, x));
   });
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result, lo, hi]() {
       const Tensor& g = node(result).grad;
@@ -348,7 +345,7 @@ Var Tape::Softmax(Var a) {
     for (int c = 0; c < av.cols(); ++c) o[c] /= sum;
   }
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -381,7 +378,7 @@ Var Tape::LogSoftmax(Var a) {
     for (int c = 0; c < av.cols(); ++c) o[c] = in[c] - lse;
   }
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -407,7 +404,7 @@ Var Tape::Transpose(Var a) {
   for (int r = 0; r < av.rows(); ++r)
     for (int c = 0; c < av.cols(); ++c) out.at(c, r) = av.at(r, c);
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -431,7 +428,7 @@ Var Tape::ConcatCols(Var a, Var b) {
   const bool ng = node(a).needs_grad || node(b).needs_grad;
   // Hoisted before Push: `av` dangles once Push reallocates the tape.
   const int ac = av.cols();
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, b, result, ac]() {
       const Tensor& g = node(result).grad;
@@ -467,7 +464,7 @@ Var Tape::ConcatRows(const std::vector<Var>& rows) {
     std::copy(t.data(), t.data() + t.size(), out.row(offset));
     offset += t.rows();
   }
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     std::vector<Var> captured = rows;
     node(result).backward = [this, captured, result]() {
@@ -497,7 +494,7 @@ Var Tape::SliceCols(Var a, int c0, int c1) {
   for (int r = 0; r < av.rows(); ++r)
     std::copy(av.row(r) + c0, av.row(r) + c1, out.row(r));
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result, c0]() {
       const Tensor& g = node(result).grad;
@@ -516,7 +513,7 @@ Var Tape::Row(Var a, int r) {
   Tensor out(1, av.cols());
   std::copy(av.row(r), av.row(r) + av.cols(), out.row(0));
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result, r]() {
       const Tensor& g = node(result).grad;
@@ -535,7 +532,7 @@ Var Tape::Sum(Var a) {
   Tensor out(1, 1);
   out.at(0, 0) = total;
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const float g = node(result).grad.at(0, 0);
@@ -561,7 +558,7 @@ Var Tape::SumRows(Var a) {
     for (int c = 0; c < av.cols(); ++c) o[c] += row[c];
   }
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -585,7 +582,7 @@ Var Tape::PickPerRow(Var a, std::vector<int> idx) {
     out.at(r, 0) = av.at(r, idx[static_cast<std::size_t>(r)]);
   }
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng, {});
+  Var result = Push(std::move(out), ng);
   if (ng) {
     node(result).backward = [this, a, result, idx = std::move(idx)]() {
       const Tensor& g = node(result).grad;

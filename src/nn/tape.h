@@ -8,10 +8,10 @@
 // probabilities under current parameters each epoch).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "nn/tensor.h"
-#include "support/inplace_function.h"
 
 namespace eagle::nn {
 
@@ -34,9 +34,7 @@ class Tape {
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  // Clears all nodes (Vars from before are invalid afterwards). Nodes
-  // are destroyed newest-first so their tensors return to the arena in
-  // LIFO order — the next forward pass pops them back in request order.
+  // Clears all nodes (Vars from before are invalid afterwards).
   void Reset();
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
@@ -83,20 +81,15 @@ class Tape {
   void Backward(Var loss);
 
  private:
-  // Backward closures live inline in the node (no per-node heap block);
-  // 64 bytes covers the largest capture (ConcatRows / PickPerRow: tape
-  // pointer + a vector + two Vars ≈ 40 bytes).
-  using BackwardFn = support::InplaceFunction<64>;
-
   struct Node {
     Tensor value;
     Tensor grad;                         // lazily sized at Backward
-    BackwardFn backward;                 // may be empty for leaves
+    std::function<void()> backward;      // may be empty for leaves
     Parameter* bound = nullptr;          // for Param leaves
     bool needs_grad = false;
   };
 
-  Var Push(Tensor value, bool needs_grad, BackwardFn backward);
+  Var Push(Tensor value, bool needs_grad);
   Node& node(Var v);
   const Node& node(Var v) const;
   Tensor& GradRef(Var v);

@@ -7,7 +7,7 @@
 #include "nn/arena.h"
 #include "nn/gemm_inner.h"
 
-#if defined(EAGLE_SIMD) && defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__)
 #define EAGLE_GEMM_SIMD 1
 #include <immintrin.h>
 #endif
@@ -48,7 +48,7 @@ Tensor::Tensor(Tensor&& other) noexcept
 Tensor& Tensor::operator=(const Tensor& other) {
   if (this == &other) return *this;
   if (size() != other.size()) {
-    detail::ArenaRelease(data_, size());
+    detail::ArenaRelease(data_);
     data_ = detail::ArenaAcquire(other.size());
   }
   rows_ = other.rows_;
@@ -59,7 +59,7 @@ Tensor& Tensor::operator=(const Tensor& other) {
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
   if (this == &other) return *this;
-  detail::ArenaRelease(data_, size());
+  detail::ArenaRelease(data_);
   rows_ = other.rows_;
   cols_ = other.cols_;
   data_ = other.data_;
@@ -69,7 +69,7 @@ Tensor& Tensor::operator=(Tensor&& other) noexcept {
   return *this;
 }
 
-Tensor::~Tensor() { detail::ArenaRelease(data_, size()); }
+Tensor::~Tensor() { detail::ArenaRelease(data_); }
 
 void Tensor::Fill(float v) { std::fill(data_, data_ + size(), v); }
 
@@ -94,7 +94,7 @@ std::string Tensor::ShapeString() const {
 // stride, reduction stride) pair — (lda, 1) for A = a and (1, lda) for
 // A = aᵀ. The panel holds a kMr×kNr accumulator tile in registers; the
 // j-inner loops have compile-time trip count kNr so they vectorize, and
-// the EAGLE_SIMD path writes the same tile with AVX2 fma intrinsics
+// the AVX2+FMA path writes the same tile with fma intrinsics
 // (lane-wise identical to scalar fma). GemmTransBAccum is dot-product
 // shaped — its per-element fold runs over the contiguous j axis, so
 // vectorizing it would reassociate; instead kMr×kPr independent scalar

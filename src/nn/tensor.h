@@ -1,13 +1,13 @@
 // Dense fp32 matrix type used by the agent networks.
 //
 // Everything the agents compute (grouper logits, LSTM states, attention
-// scores) is a rank-2 tensor; vectors are 1×C or R×1. Storage comes from
-// the per-thread freelist arena (nn/arena.h) so tape-heavy training loops
-// stop paying malloc per node. Kernels are register-blocked with
-// vectorizable j-inner loops (plus an intrinsics path behind EAGLE_SIMD)
-// and are bit-identical to the naive triple-loop reference in
-// nn/naive_ref.h: the accumulation order over k for each output element
-// is exactly the reference's, only the loop nest around it changes.
+// scores) is a rank-2 tensor; vectors are 1×C or R×1. Storage is one
+// 32-byte-aligned heap block per tensor (nn/arena.h). Kernels are
+// register-blocked with vectorizable j-inner loops (plus an AVX2+FMA
+// intrinsics path wherever the target ISA has both) and are
+// bit-identical to the naive triple-loop reference in nn/naive_ref.h:
+// the accumulation order over k for each output element is exactly the
+// reference's, only the loop nest around it changes.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class Tensor {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  float* data_ = nullptr;  // arena-backed, rows_*cols_ floats
+  float* data_ = nullptr;  // 32-byte aligned, rows_*cols_ floats
 };
 
 // out += a * b  (m×k times k×n). Accumulating form so backward passes can

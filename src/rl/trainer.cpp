@@ -22,8 +22,7 @@ const char* AlgorithmName(Algorithm algorithm) {
 }
 
 TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
-                       const TrainerOptions& options,
-                       const ProgressCallback& on_progress) {
+                       const TrainerOptions& options) {
   EAGLE_CHECK(options.total_samples >= 1 && options.minibatch_size >= 1);
   support::Rng rng(options.seed);
   nn::Adam optimizer(agent.params(), options.adam);
@@ -189,7 +188,6 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
                                    : std::numeric_limits<double>::infinity();
       point.best_so_far_seconds = result.best_per_step_seconds;
       result.history.push_back(point);
-      if (on_progress) on_progress(point);
 
       batch.push_back(std::move(sample));
       ++since_ce;

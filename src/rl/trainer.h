@@ -116,10 +116,7 @@ struct TrainResult {
   std::vector<HistoryPoint> history;
 };
 
-using ProgressCallback = std::function<void(const HistoryPoint&)>;
-
 TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
-                       const TrainerOptions& options,
-                       const ProgressCallback& on_progress = nullptr);
+                       const TrainerOptions& options);
 
 }  // namespace eagle::rl

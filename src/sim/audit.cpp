@@ -289,9 +289,8 @@ AuditReport AuditSchedule(const StepResult& result,
   // recorded timeline and require the reported per-device bytes to match
   // exactly (the replay mirrors the simulator's touch sequence
   // bit-for-bit, so any mismatch is a leak or double-count).
-  if (!options.track_memory ||
-      result.device_peak_bytes.size() !=
-          static_cast<std::size_t>(num_devices)) {
+  if (result.device_peak_bytes.size() !=
+      static_cast<std::size_t>(num_devices)) {
     return report;
   }
   std::vector<std::vector<LiveInterval>> intervals(

@@ -48,8 +48,7 @@ struct AuditReport {
 // Audits `result` (which must carry a recorded schedule — run the
 // simulator with SimulatorOptions::record_schedule) against `graph`,
 // `cluster` and the normalized `placement` it was produced from.
-// `options` gates the memory checks (skipped when track_memory is off,
-// matching what the simulator accounted).
+// `options` supplies the memory model the simulator accounted with.
 AuditReport AuditSchedule(const StepResult& result,
                           const graph::OpGraph& graph,
                           const ClusterSpec& cluster,

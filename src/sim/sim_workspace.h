@@ -13,9 +13,10 @@
 // simulator, because Run() is const and called concurrently by the
 // evaluation service; each in-flight run gets a private workspace.
 //
-// This header is, together with nn/arena.h, the sanctioned allocation
-// layer for the hot path (eagle-lint HP01): simulator.cpp itself must not
-// touch new/malloc/unordered_map.
+// This header is, together with nn/arena.h (the one aligned allocator
+// behind nn::Tensor), the sanctioned allocation layer for the hot path
+// (eagle-lint HP01): simulator.cpp itself must not touch
+// new/malloc/unordered_map.
 #pragma once
 
 #include <algorithm>

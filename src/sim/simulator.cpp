@@ -191,7 +191,7 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
   // live_epoch/live_index pair in the workspace.
   auto touch = [&](graph::OpId producer, DeviceId device, double start,
                    double end, std::int64_t bytes) {
-    if (!options_.track_memory || bytes <= 0) return;
+    if (bytes <= 0) return;
     const std::size_t slot =
         static_cast<std::size_t>(producer) *
             static_cast<std::size_t>(num_devices) +
@@ -327,36 +327,32 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     result.step_seconds = std::max(result.step_seconds, finish);
 
     // Extend the liveness of every input tensor to this op's finish.
-    if (options_.track_memory) {
-      for (auto ei : g.in_edges(u)) {
-        const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
-        touch(e.src, best_dev, start, finish,
-              placement.device(e.src) == best_dev ? g.op(e.src).output_bytes()
-                                                  : e.bytes);
-      }
+    for (auto ei : g.in_edges(u)) {
+      const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
+      touch(e.src, best_dev, start, finish,
+            placement.device(e.src) == best_dev ? g.op(e.src).output_bytes()
+                                                : e.bytes);
     }
   }
 
   // Memory accounting: params resident for the whole step + activation
   // sweep with allocator overhead.
-  if (options_.track_memory) {
-    for (graph::OpId i = 0; i < num_ops; ++i) {
-      result.device_param_bytes[static_cast<std::size_t>(placement.device(i))] +=
-          g.op(i).param_bytes;
-    }
-    for (DeviceId d = 0; d < num_devices; ++d) {
-      const std::int64_t activation_peak = PeakLiveBytes(
-          ws.intervals[static_cast<std::size_t>(d)], ws.event_scratch);
-      const std::int64_t peak =
-          result.device_param_bytes[static_cast<std::size_t>(d)] +
-          static_cast<std::int64_t>(
-              static_cast<double>(activation_peak) *
-              options_.memory.activation_overhead);
-      result.device_peak_bytes[static_cast<std::size_t>(d)] = peak;
-      if (peak > cluster_->device(d).memory_bytes && !result.oom) {
-        result.oom = true;
-        result.oom_device = d;
-      }
+  for (graph::OpId i = 0; i < num_ops; ++i) {
+    result.device_param_bytes[static_cast<std::size_t>(placement.device(i))] +=
+        g.op(i).param_bytes;
+  }
+  for (DeviceId d = 0; d < num_devices; ++d) {
+    const std::int64_t activation_peak = PeakLiveBytes(
+        ws.intervals[static_cast<std::size_t>(d)], ws.event_scratch);
+    const std::int64_t peak =
+        result.device_param_bytes[static_cast<std::size_t>(d)] +
+        static_cast<std::int64_t>(
+            static_cast<double>(activation_peak) *
+            options_.memory.activation_overhead);
+    result.device_peak_bytes[static_cast<std::size_t>(d)] = peak;
+    if (peak > cluster_->device(d).memory_bytes && !result.oom) {
+      result.oom = true;
+      result.oom_device = d;
     }
   }
   Metrics().runs->Increment();

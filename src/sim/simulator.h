@@ -69,9 +69,6 @@ struct StepResult {
 
 struct SimulatorOptions {
   MemoryModelOptions memory;
-  // When false, memory accounting (and OOM detection) is skipped — used by
-  // throughput microbenches.
-  bool track_memory = true;
   // Record the full op/transfer timeline (for trace export and the
   // critical-path analyzer). Off by default: it allocates per op.
   bool record_schedule = false;

@@ -1,5 +1,5 @@
 // HP02 cross-file fixture: an allocating helper outside the hot path
-// and outside the arena/workspace allowlist.
+// and outside the tensor-allocator/workspace allowlist.
 #pragma once
 
 namespace fixture {

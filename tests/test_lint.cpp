@@ -184,7 +184,7 @@ TEST(LintRules, HotPathAllocScopedToKernelsAndExemptsPools) {
   // Every NN kernel file carries the same no-allocation contract.
   EXPECT_EQ(RuleIds(LintSource("src/nn/tape.cpp", src)),
             std::set<std::string>{"HP01"});
-  // The pools themselves are the sanctioned allocation layer.
+  // The sanctioned allocation layers themselves are exempt.
   EXPECT_TRUE(LintSource("src/nn/arena.cpp", src).empty());
   EXPECT_TRUE(LintSource("src/sim/sim_workspace.cpp", src).empty());
   // Outside the kernel files the rule does not apply at all.

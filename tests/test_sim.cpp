@@ -283,21 +283,6 @@ TEST(Simulator, OomDetected) {
   EXPECT_FALSE(on_cpu.oom);
 }
 
-TEST(Simulator, MemoryTrackingCanBeDisabled) {
-  OpGraph g;
-  OpDef big;
-  big.name = "big";
-  big.type = OpType::kVariable;
-  big.output_shape = TensorShape{1};
-  big.param_bytes = 64LL << 30;
-  g.AddOp(big);
-  const auto cluster = TwoGpuCluster();
-  SimulatorOptions options;
-  options.track_memory = false;
-  ExecutionSimulator simulator(g, cluster, options);
-  EXPECT_FALSE(simulator.Run(Placement::AllOnDevice(g, cluster, 1)).oom);
-}
-
 // Exact StepResult equality (doubles compared with ==, not tolerance):
 // the workspace simulator must reproduce the frozen reference bit for
 // bit, since both fold the same costs in the same order.
@@ -457,15 +442,18 @@ TEST(Simulator, TransferDedupKeysOnExactBytes) {
   }
   g.AddEdge(0, 1, kSmall);
   g.AddEdge(0, 2, kLarge);
-  const auto cluster = TwoGpuCluster();
-  SimulatorOptions options;
-  options.track_memory = false;  // the 2.8 GB tensor is not the point
+  ClusterOptions roomy;  // the 2.8 GB tensor must fit: OOM is not the point
+  roomy.num_gpus = 2;
+  roomy.gpu_memory_bytes = 64LL << 30;
+  const auto cluster = MakeDefaultCluster(roomy);
+  const SimulatorOptions options;
   ExecutionSimulator simulator(g, cluster, options);
   std::vector<DeviceId> devices{1, 2, 2};
   Placement placement(g, devices);
   placement.Normalize(g, cluster);
 
   const auto result = simulator.Run(placement);
+  EXPECT_FALSE(result.oom);
   EXPECT_EQ(result.num_transfers, 2);
   EXPECT_EQ(result.transfer_bytes_total, kSmall + kLarge);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -13,7 +12,6 @@
 
 #include "support/args.h"
 #include "support/atomic_file.h"
-#include "support/inplace_function.h"
 #include "support/resource_pool.h"
 #include "support/retry.h"
 #include "support/rng.h"
@@ -360,58 +358,6 @@ TEST(Series, CsvWritten) {
   EXPECT_EQ(header, "series,hours,seconds");
   EXPECT_EQ(row, "EAGLE,0.5,1.25");
   std::remove(path.c_str());
-}
-
-TEST(InplaceFunction, EmptyIsFalsyAndAssignedInvokes) {
-  InplaceFunction<64> fn;
-  EXPECT_FALSE(fn);
-  int calls = 0;
-  fn = [&calls] { ++calls; };
-  ASSERT_TRUE(fn);
-  fn();
-  fn();
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(InplaceFunction, MoveTransfersClosureAndEmptiesSource) {
-  int calls = 0;
-  InplaceFunction<64> fn = [&calls] { ++calls; };
-  InplaceFunction<64> moved = std::move(fn);
-  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move): emptied by design
-  ASSERT_TRUE(moved);
-  moved();
-  EXPECT_EQ(calls, 1);
-
-  InplaceFunction<64> assigned;
-  assigned = std::move(moved);
-  ASSERT_TRUE(assigned);
-  assigned();
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(InplaceFunction, DestroysCapturesOnceEachLifetimeEnd) {
-  // A shared_ptr capture counts live closure copies: destruction and
-  // reassignment must run the captured destructor exactly once (tape
-  // nodes hold Var handles whose refcounts depend on this).
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> alive = token;
-  {
-    InplaceFunction<64> fn = [token] { (void)*token; };
-    token.reset();
-    EXPECT_FALSE(alive.expired());  // closure keeps it alive
-    fn = [] {};                     // reassign: old closure destroyed
-    EXPECT_TRUE(alive.expired());
-  }
-
-  token = std::make_shared<int>(8);
-  alive = token;
-  {
-    InplaceFunction<64> fn = [token] { (void)*token; };
-    token.reset();
-    InplaceFunction<64> moved = std::move(fn);
-    EXPECT_FALSE(alive.expired());  // exactly one live copy, in `moved`
-  }
-  EXPECT_TRUE(alive.expired());  // scope exit destroyed it
 }
 
 TEST(ResourcePool, ReusesReturnedObjectLifo) {

@@ -191,9 +191,10 @@ bool IsHotPath(const std::string& path) {
   return HasPrefix(path, "src/nn/") || HasPrefix(path, "src/sim/simulator.");
 }
 
-// The sanctioned allocation substrate: the arena and workspace pools plus
-// src/support (telemetry/metrics registration and the resource pool —
-// init-time allocation that hot paths may call through, never per-step).
+// The sanctioned allocation substrate: the nn/arena.* tensor allocator,
+// the simulator workspace, and src/support (telemetry/metrics
+// registration and the resource pool — init-time allocation that hot
+// paths may call through, never per-step).
 bool IsSanctionedAlloc(const std::string& path) {
   return HasPrefix(path, "src/nn/arena.") ||
          HasPrefix(path, "src/sim/sim_workspace.") ||
@@ -273,9 +274,9 @@ std::vector<Diagnostic> CheckHotPathEscape(const Index& index) {
             "HP02", file.path, fn.alloc_line,
             "hot-path function '" + fn.qualified + "' allocates directly ('" +
                 fn.alloc_what +
-                "') — take scratch from the tensor arena / SimWorkspace "
-                "pools, or justify one-time construction with an adjacent "
-                "eagle-lint: allow(HP02)",
+                "') — allocate through the nn/arena.* tensor allocator or "
+                "SimWorkspace, or justify one-time construction with an "
+                "adjacent eagle-lint: allow(HP02)",
             1});
       }
       // Transitive escape through the call graph.
@@ -294,7 +295,8 @@ std::vector<Diagnostic> CheckHotPathEscape(const Index& index) {
       out.push_back(Diagnostic{
           "HP02", file.path, fn.line,
           "hot-path function '" + fn.qualified +
-              "' reaches an allocation outside the arena/workspace pools: " +
+              "' reaches an allocation outside the tensor allocator / "
+              "SimWorkspace: " +
               spelled + " (allocates via '" + sink.alloc_what + "' at " +
               sink.file + ":" + std::to_string(sink.alloc_line) + ")",
           fn.col});

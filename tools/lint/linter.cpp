@@ -66,12 +66,13 @@ std::vector<RuleInfo> MakeRules() {
   rules.push_back(RuleInfo{
       "HP01", "error",
       "raw heap allocation or unordered container in a hot-path kernel "
-      "file — per-call scratch belongs to the tensor arena / SimWorkspace "
-      "pools",
-      // The NN kernel layer and the simulator inner loop: one malloc per
-      // tape node / per Run() is exactly the overhead the arena and the
-      // workspace removed, and flat epoch-stamped arrays replaced the
-      // hash maps. The pools themselves are the sanctioned layer.
+      "file — tensor storage belongs to the nn/arena.* allocator, "
+      "simulator scratch to SimWorkspace",
+      // The NN kernel layer and the simulator inner loop: tensor storage
+      // goes through the one aligned allocator in nn/arena.*, and the
+      // simulator's per-Run() scratch lives in flat epoch-stamped
+      // workspace arrays that replaced the hash maps. Those two files
+      // are the sanctioned layer.
       {"src/nn/", "src/sim/simulator."},
       {"src/nn/arena.", "src/sim/sim_workspace."}});
   rules.push_back(RuleInfo{
@@ -121,7 +122,7 @@ std::vector<RuleInfo> MakeRules() {
   rules.push_back(RuleInfo{
       "HP02", "error",
       "hot-path function whose call graph reaches an allocating function "
-      "outside the arena/workspace pools (flow-aware HP01)",
+      "outside the tensor allocator / SimWorkspace (flow-aware HP01)",
       {"src/nn/", "src/sim/simulator."},
       {"src/nn/arena.", "src/sim/sim_workspace."}});
   return rules;
@@ -540,7 +541,7 @@ void CheckHotPathAlloc(const Tokens& toks, const std::string& path,
           out->push_back(Diagnostic{
               "HP01", path, tok.line,
               "#include " + needle + " in a hot-path kernel file — use a "
-              "flat epoch-stamped array in the arena/workspace layer"});
+              "flat epoch-stamped array in the workspace layer"});
         }
       }
       continue;
@@ -552,8 +553,8 @@ void CheckHotPathAlloc(const Tokens& toks, const std::string& path,
     if (tok.text == "new" && !member_access) {
       out->push_back(Diagnostic{
           "HP01", path, tok.line,
-          "raw 'new' in a hot-path kernel file — take scratch from the "
-          "tensor arena / SimWorkspace pools instead"});
+          "raw 'new' in a hot-path kernel file — allocate through the "
+          "nn/arena.* tensor allocator or SimWorkspace instead"});
       continue;
     }
     for (const char* call : kAllocCalls) {
@@ -562,8 +563,8 @@ void CheckHotPathAlloc(const Tokens& toks, const std::string& path,
         out->push_back(Diagnostic{
             "HP01", path, tok.line,
             "allocator call '" + tok.text + "' in a hot-path kernel file — "
-            "take scratch from the tensor arena / SimWorkspace pools "
-            "instead"});
+            "allocate through the nn/arena.* tensor allocator or "
+            "SimWorkspace instead"});
       }
     }
     for (const char* type : kUnorderedTypes) {

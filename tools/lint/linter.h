@@ -25,9 +25,9 @@
 //         bench/ and tools/ are reporting sinks and exempt
 //   HP01  no raw heap allocation (new/malloc) and no unordered containers
 //         in the hot-path kernel files (src/nn, src/sim/simulator.cpp) —
-//         scratch comes from the tensor arena / SimWorkspace pools
-//         (src/nn/arena.*, src/sim/sim_workspace.h are the sanctioned
-//         allocation layer and exempt)
+//         tensor storage comes from the aligned allocator in
+//         src/nn/arena.*, simulator scratch from SimWorkspace (both
+//         are the sanctioned allocation layer and exempt)
 //   IN01  no raw numeric conversions (std::stoll/strtod/atoi/sscanf/...)
 //         in src/graph (outside parse_num.*) or the cluster-spec
 //         importer (src/sim/cluster_ingest.*) — they throw or silently
@@ -45,8 +45,8 @@
 //   LK01  two functions acquiring the same two mutexes in opposite
 //         orders — built from the global lock-acquisition-order graph
 //   HP02  flow-aware HP01: a hot-path function whose *call graph*
-//         reaches an allocating function outside the arena/workspace
-//         allowlist, not just a textual new/malloc in the file
+//         reaches an allocating function outside the tensor-allocator/
+//         workspace allowlist, not just a textual new/malloc in the file
 //
 // Suppression: a `// eagle-lint: allow(ND02)` comment on the same line
 // (or the line above) waives that rule for that line, in both phases.
