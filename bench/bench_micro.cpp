@@ -25,7 +25,11 @@
 // shapes the ≥3× acceptance target is defined over; untagged rows
 // (skinny logits projection, transposed backward variants) are coverage
 // for the trajectory — see the GemmCase comment for why the skinny
-// shape cannot reach 3× on this machine at all.
+// shape cannot reach 3× on this machine at all. The backward rows time
+// the shapes training executes: one-row LSTM-step input gradients
+// (gemm_tb m=1), a 64-step weight gradient as 64 one-row calls against
+// one 64-row call (gemm_ta), and the grouper's 5042-row W2 gradient on
+// normal data and with subnormal entries.
 //
 // Writes results/BENCH_kernels.json (override with --out=PATH) so future
 // PRs have a perf trajectory; --smoke shrinks shapes and repeats for the
@@ -101,6 +105,15 @@ struct GemmCase {
   // so 3× would exceed the machine's 67 GFLOP/s fma peak), and the
   // transposed backward variants are tracked for the perf trajectory.
   bool placer = false;
+  // The row times `calls` successive calls on distinct operands, i.e. one
+  // product of calls·k reduction rows split into separate calls.
+  int calls = 1;
+  // Fraction of b's entries scaled into the subnormal range.
+  double subnormal_frac = 0.0;
+  // gemm_tb only: the optimized contender is GemmTransBAccumPretransposed
+  // against a bᵀ made outside the timed loop, as a tape MatMul against a
+  // Param runs it (one cached transpose per tape).
+  bool pretransposed = false;
 };
 
 struct GemmRow {
@@ -119,44 +132,69 @@ GemmRow RunGemmCase(const GemmCase& shape, int repeats, double target_seconds) {
   // a(m,n)·bᵀ(k,n) producing (m,k).
   const bool ta = std::string(shape.kernel) == "gemm_ta";
   const bool tb = std::string(shape.kernel) == "gemm_tb";
-  nn::Tensor a = ta ? nn::Tensor(shape.k, shape.m)
-                    : (tb ? nn::Tensor(shape.m, shape.n)
-                          : nn::Tensor(shape.m, shape.k));
-  nn::Tensor b = tb ? nn::Tensor(shape.k, shape.n)
-                    : nn::Tensor(shape.k, shape.n);
-  nn::Tensor out = tb ? nn::Tensor(shape.m, shape.k)
-                      : nn::Tensor(shape.m, shape.n);
-  nn::UniformInit(a, -1, 1, rng);
-  nn::UniformInit(b, -1, 1, rng);
-  out.Fill(0.0f);
   // The pre-PR contender runs on the same values but in seed storage
   // (std::vector-backed, malloc alignment): nn::Tensor's 32-byte
   // alignment is part of this rewrite's win and must not be credited to
   // the baseline.
-  bench::prepr::Tensor pa(a), pb(b), pout(out);
+  std::vector<nn::Tensor> as, bs;
+  std::vector<bench::prepr::Tensor> pas, pbs;
+  for (int c = 0; c < shape.calls; ++c) {
+    nn::Tensor a = ta ? nn::Tensor(shape.k, shape.m)
+                      : (tb ? nn::Tensor(shape.m, shape.n)
+                            : nn::Tensor(shape.m, shape.k));
+    nn::Tensor b(shape.k, shape.n);
+    nn::UniformInit(a, -1, 1, rng);
+    nn::UniformInit(b, -1, 1, rng);
+    for (std::int64_t i = 0; i < b.size(); ++i) {
+      if (rng.NextDouble() < shape.subnormal_frac) b.data()[i] *= 1e-39f;
+    }
+    pas.emplace_back(a);
+    pbs.emplace_back(b);
+    as.push_back(std::move(a));
+    bs.push_back(std::move(b));
+  }
+  nn::Tensor out = tb ? nn::Tensor(shape.m, shape.k)
+                      : nn::Tensor(shape.m, shape.n);
+  bench::prepr::Tensor pout(out);
 
-  const double flops_per_call = 2.0 * shape.m * shape.k * shape.n;
-  const auto measure = [&](auto kernel) {
+  const double flops_per_call =
+      2.0 * shape.m * shape.k * shape.n * shape.calls;
+  std::vector<nn::Tensor> b_ts;
+  if (shape.pretransposed) {
+    for (const nn::Tensor& b : bs) b_ts.push_back(nn::Transposed(b));
+  }
+  const auto measure = [&](auto kernel, const std::vector<nn::Tensor>& bv) {
     return MeasureMinOfRepeats(
         [&](long long iters) {
-          for (long long i = 0; i < iters; ++i) kernel(a, b, out);
+          for (long long i = 0; i < iters; ++i)
+            for (int c = 0; c < shape.calls; ++c)
+              kernel(as[static_cast<std::size_t>(c)],
+                     bv[static_cast<std::size_t>(c)], out);
         },
         repeats, target_seconds);
   };
   // Interleave-by-section: all contenders run back to back on the same
   // operands, so machine-level drift cannot favor one side.
   const BenchTiming opt =
-      measure(ta ? nn::GemmTransAAccum : tb ? nn::GemmTransBAccum
-                                            : nn::GemmAccum);
+      shape.pretransposed
+          ? measure(nn::GemmTransBAccumPretransposed, b_ts)
+          : measure(ta   ? nn::GemmTransAAccum
+                    : tb ? nn::GemmTransBAccum
+                         : nn::GemmAccum,
+                    bs);
   const BenchTiming naive = measure(ta   ? nn::naive::GemmTransAAccum
                                     : tb ? nn::naive::GemmTransBAccum
-                                         : nn::naive::GemmAccum);
+                                         : nn::naive::GemmAccum,
+                                    bs);
   const auto prepr_kernel = ta   ? bench::prepr::GemmTransAAccum
                             : tb ? bench::prepr::GemmTransBAccum
                                  : bench::prepr::GemmAccum;
   const BenchTiming prepr = MeasureMinOfRepeats(
       [&](long long iters) {
-        for (long long i = 0; i < iters; ++i) prepr_kernel(pa, pb, pout);
+        for (long long i = 0; i < iters; ++i)
+          for (int c = 0; c < shape.calls; ++c)
+            prepr_kernel(pas[static_cast<std::size_t>(c)],
+                         pbs[static_cast<std::size_t>(c)], pout);
       },
       repeats, target_seconds);
 
@@ -257,6 +295,9 @@ std::string RenderJson(const std::vector<GemmRow>& gemm,
     os << "    {\"kernel\": \"" << r.shape.kernel << "\", \"m\": "
        << r.shape.m << ", \"k\": " << r.shape.k << ", \"n\": " << r.shape.n
        << ", \"placer\": " << (r.shape.placer ? "true" : "false")
+       << ", \"calls\": " << r.shape.calls
+       << ", \"subnormal_frac\": " << support::json::Num(r.shape.subnormal_frac)
+       << ", \"pretransposed\": " << (r.shape.pretransposed ? "true" : "false")
        << ", \"prepr_gflops\": " << support::json::Num(r.prepr_gflops)
        << ", \"naive_gflops\": " << support::json::Num(r.naive_gflops)
        << ", \"opt_gflops\": " << support::json::Num(r.opt_gflops)
@@ -331,19 +372,37 @@ int main(int argc, char** argv) {
 
   // Placer shapes: the grouper FFN and seq2seq placer mat-muls are
   // square-ish 64–256 blocks; the skinny case is the per-step logits
-  // projection (batch rows × hidden).
+  // projection (batch rows × hidden). Backward shapes: an LSTM step's
+  // input gradient dX = dC·Wᵀ is gemm_tb with m=1 against the 328×256
+  // decoder weight (default dimensions) or the 2592×2048 one (paper
+  // scale); its weight gradient dW = xhᵀ·dC is gemm_ta with one
+  // reduction row per step, timed as 64 one-row calls and as the one
+  // 64-row call the tape folds them into; the grouper's
+  // dW2 = hᵀ·dlogits reduces over GNMT's 5042 ops.
   std::vector<GemmCase> gemm_cases;
   if (smoke) {
     gemm_cases = {{"gemm", 48, 48, 48, true},
                   {"gemm_ta", 32, 32, 32, false},
-                  {"gemm_tb", 32, 32, 32, false}};
+                  {"gemm_tb", 32, 32, 32, false},
+                  {"gemm_tb", 1, 40, 32, false, 1, 0.0, true},
+                  {"gemm_ta", 40, 1, 32, false, 8},
+                  {"gemm_ta", 40, 8, 32, false}};
   } else {
     gemm_cases = {{"gemm", 64, 64, 64, true},
                   {"gemm", 128, 128, 128, true},
                   {"gemm", 256, 256, 256, true},
                   {"gemm", 8, 256, 256, false},
                   {"gemm_ta", 128, 128, 128, false},
-                  {"gemm_tb", 128, 128, 128, false}};
+                  {"gemm_tb", 128, 128, 128, false},
+                  {"gemm_tb", 1, 328, 256, false},
+                  {"gemm_tb", 1, 328, 256, false, 1, 0.0, true},
+                  {"gemm_tb", 1, 2592, 2048, false, 1, 0.0, true},
+                  {"gemm_ta", 328, 1, 256, false, 64},
+                  {"gemm_ta", 328, 64, 256, false},
+                  {"gemm_ta", 2592, 1, 2048, false, 64},
+                  {"gemm_ta", 2592, 64, 2048, false},
+                  {"gemm_ta", 24, 5042, 24, false},
+                  {"gemm_ta", 24, 5042, 24, false, 1, 0.05}};
   }
 
   std::vector<GemmRow> gemm;
@@ -351,7 +410,12 @@ int main(int argc, char** argv) {
     gemm.push_back(RunGemmCase(c, repeats, target_seconds));
     const auto& r = gemm.back();
     std::cout << r.shape.kernel << " " << r.shape.m << "x" << r.shape.k << "x"
-              << r.shape.n << ": pre-PR " << r.prepr_gflops
+              << r.shape.n;
+    if (r.shape.calls > 1) std::cout << " in " << r.shape.calls << " calls";
+    if (r.shape.pretransposed) std::cout << " pretransposed";
+    if (r.shape.subnormal_frac > 0.0)
+      std::cout << " (" << r.shape.subnormal_frac * 100 << "% subnormal b)";
+    std::cout << ": pre-PR " << r.prepr_gflops
               << " GFLOP/s, oracle " << r.naive_gflops << " GFLOP/s, opt "
               << r.opt_gflops << " GFLOP/s, speedup vs pre-PR "
               << r.speedup_vs_prepr << "x\n";

@@ -20,9 +20,9 @@
 #      (Post with PPO+CE, Hierarchical Planner with REINFORCE, EAGLE
 #      with PPO) down to their per-sample history files,
 #   7. a kernel-bench smoke run: bench_micro --smoke must complete and
-#      emit well-formed BENCH_kernels.json (tiny shapes — it guards the
-#      harness and the naive-reference plumbing, not the perf ratios;
-#      see docs/PERFORMANCE.md),
+#      emit well-formed BENCH_kernels.json with a one-row gemm_tb row
+#      (tiny shapes — it guards the harness and the naive-reference
+#      plumbing, not the perf ratios; see docs/PERFORMANCE.md),
 #   8. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
 #      seeded .eg/.json corpora 10k/2k times against the hardened parser
 #      (any crash or uncaught throw fails here), corrupts the shipped
@@ -107,6 +107,8 @@ test -s "$SMOKE/BENCH_kernels.json"
 grep -q '"schema": "eagle.bench_kernels.v1"' "$SMOKE/BENCH_kernels.json"
 grep -q '"smoke": true' "$SMOKE/BENCH_kernels.json"
 grep -q '"kernel": "gemm"' "$SMOKE/BENCH_kernels.json"
+# The one-row LSTM-step input gradient is the backward shape training runs.
+grep -q '"kernel": "gemm_tb", "m": 1,' "$SMOKE/BENCH_kernels.json"
 grep -q '"graph": "Inception-V3"' "$SMOKE/BENCH_kernels.json"
 echo BENCH_SMOKE_CLEAN
 

@@ -7,7 +7,7 @@ namespace eagle::nn {
 
 void Tape::Reset() {
   nodes_.clear();
-  param_cache_.clear();
+  params_.clear();
 }
 
 Tape::Node& Tape::node(Var v) {
@@ -25,7 +25,34 @@ Tensor& Tape::GradRef(Var v) {
   if (n.grad.empty() && !n.value.empty()) {
     n.grad = Tensor(n.value.rows(), n.value.cols());
   }
+  if (n.param >= 0) {
+    ParamSlot& slot = params_[static_cast<std::size_t>(n.param)];
+    if (slot.pending_rows > 0) {
+      GemmTransAAccumRows(slot.pending_a, slot.pending_g, slot.pending_rows,
+                          n.grad);
+      slot.pending_rows = 0;
+    }
+  }
   return n.grad;
+}
+
+const Tensor& Tape::TransposedValue(ParamSlot& slot) {
+  if (slot.value_t.empty()) slot.value_t = Transposed(value(slot.var));
+  return slot.value_t;
+}
+
+void Tape::DeferWeightGrad(ParamSlot& slot, const Tensor& a,
+                           const Tensor& g) {
+  if (slot.pending_rows + a.rows() > kPendingRows) GradRef(slot.var);
+  if (slot.pending_a.empty()) {
+    slot.pending_a = Tensor(kPendingRows, a.cols());
+    slot.pending_g = Tensor(kPendingRows, g.cols());
+  }
+  std::copy(a.data(), a.data() + a.size(),
+            slot.pending_a.row(slot.pending_rows));
+  std::copy(g.data(), g.data() + g.size(),
+            slot.pending_g.row(slot.pending_rows));
+  slot.pending_rows += a.rows();
 }
 
 Var Tape::Push(Tensor value, bool needs_grad) {
@@ -40,12 +67,12 @@ Var Tape::Input(Tensor value) { return Push(std::move(value), false); }
 
 Var Tape::Param(Parameter* parameter) {
   EAGLE_CHECK(parameter != nullptr);
-  for (const auto& [cached, var] : param_cache_) {
-    if (cached == parameter) return var;
+  for (const ParamSlot& slot : params_) {
+    if (slot.parameter == parameter) return slot.var;
   }
   Var v = Push(parameter->value, true);
-  node(v).bound = parameter;
-  param_cache_.emplace_back(parameter, v);
+  node(v).param = static_cast<std::int32_t>(params_.size());
+  params_.push_back(ParamSlot{parameter, v});
   return v;
 }
 
@@ -62,8 +89,23 @@ Var Tape::MatMul(Var a, Var b) {
   if (ng) {
     node(result).backward = [this, a, b, result]() {
       const Tensor& g = node(result).grad;
-      if (node(a).needs_grad) GemmTransBAccum(g, value(b), GradRef(a));
-      if (node(b).needs_grad) GemmTransAAccum(value(a), g, GradRef(b));
+      const std::int32_t param = node(b).param;
+      ParamSlot* slot =
+          param >= 0 ? &params_[static_cast<std::size_t>(param)] : nullptr;
+      if (node(a).needs_grad) {
+        if (slot != nullptr) {
+          GemmTransBAccumPretransposed(g, TransposedValue(*slot), GradRef(a));
+        } else {
+          GemmTransBAccum(g, value(b), GradRef(a));
+        }
+      }
+      if (node(b).needs_grad) {
+        if (slot != nullptr && value(a).rows() <= kDeferMaxRows) {
+          DeferWeightGrad(*slot, value(a), g);
+        } else {
+          GemmTransAAccum(value(a), g, GradRef(b));
+        }
+      }
     };
   }
   return result;
@@ -399,12 +441,8 @@ Var Tape::LogSoftmax(Var a) {
 }
 
 Var Tape::Transpose(Var a) {
-  const Tensor& av = value(a);
-  Tensor out(av.cols(), av.rows());
-  for (int r = 0; r < av.rows(); ++r)
-    for (int c = 0; c < av.cols(); ++c) out.at(c, r) = av.at(r, c);
   const bool ng = node(a).needs_grad;
-  Var result = Push(std::move(out), ng);
+  Var result = Push(Transposed(value(a)), ng);
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
@@ -604,14 +642,18 @@ void Tape::Backward(Var loss) {
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
     if (it->backward && !it->grad.empty()) it->backward();
   }
-  // Flush leaf grads into their bound parameters.
-  for (Node& n : nodes_) {
-    if (n.bound != nullptr && !n.grad.empty()) {
-      if (n.bound->grad.empty()) {
-        n.bound->grad = Tensor(n.value.rows(), n.value.cols());
-      }
-      Axpy(1.0f, n.grad, n.bound->grad);
+  // Fold what is still recorded, then flush leaf grads into their bound
+  // parameters.
+  for (ParamSlot& slot : params_) {
+    if (slot.pending_rows > 0) GradRef(slot.var);
+    slot.pending_a = Tensor();
+    slot.pending_g = Tensor();
+    const Node& n = node(slot.var);
+    if (n.grad.empty()) continue;
+    if (slot.parameter->grad.empty()) {
+      slot.parameter->grad = Tensor(n.value.rows(), n.value.cols());
     }
+    Axpy(1.0f, n.grad, slot.parameter->grad);
   }
 }
 

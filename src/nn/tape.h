@@ -6,6 +6,17 @@
 // Param() — into the persistent Parameter::grad buffers the optimizer
 // consumes. The tape is rebuilt every forward pass (PPO recomputes log
 // probabilities under current parameters each epoch).
+//
+// Two backward shortcuts for MatMul(a, Param) keep every gradient bit:
+// the input gradient dC·Wᵀ reads one valueᵀ per Param, built the first
+// time a backward pass needs it and freed with the tape; and a weight
+// gradient aᵀ·dC from an `a` of at most kDeferMaxRows rows (one LSTM
+// step) is recorded instead of computed. The recorded rows are folded
+// into the Param's gradient as one multi-row GEMM, in recording order —
+// the same fma sequence per element as one call per record — before
+// anything else writes that gradient (every writer goes through GradRef),
+// before a record that would overflow kPendingRows rows, and at the end of
+// Backward.
 #pragma once
 
 #include <functional>
@@ -85,17 +96,35 @@ class Tape {
     Tensor value;
     Tensor grad;                         // lazily sized at Backward
     std::function<void()> backward;      // may be empty for leaves
-    Parameter* bound = nullptr;          // for Param leaves
+    std::int32_t param = -1;             // params_ index for Param leaves
     bool needs_grad = false;
   };
+
+  // Per-tape state of one Param leaf.
+  struct ParamSlot {
+    Parameter* parameter = nullptr;
+    Var var;
+    Tensor value_t;       // valueᵀ, built on first use by a backward pass
+    Tensor pending_a;     // kPendingRows × value.rows: recorded `a` rows
+    Tensor pending_g;     // kPendingRows × value.cols: recorded dC rows
+    int pending_rows = 0;
+  };
+
+  static constexpr int kDeferMaxRows = 8;
+  static constexpr int kPendingRows = 64;
 
   Var Push(Tensor value, bool needs_grad);
   Node& node(Var v);
   const Node& node(Var v) const;
+  // The only way to write a node's gradient: sizes it on first use and
+  // folds a Param's recorded weight-gradient rows into it first.
   Tensor& GradRef(Var v);
+  const Tensor& TransposedValue(ParamSlot& slot);
+  // Records the contribution aᵀ·g to slot's gradient for a later fold.
+  void DeferWeightGrad(ParamSlot& slot, const Tensor& a, const Tensor& g);
 
   std::vector<Node> nodes_;
-  std::vector<std::pair<Parameter*, Var>> param_cache_;
+  std::vector<ParamSlot> params_;
 };
 
 }  // namespace eagle::nn

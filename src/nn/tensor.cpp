@@ -79,6 +79,27 @@ std::string Tensor::ShapeString() const {
   return os.str();
 }
 
+Tensor Transposed(const Tensor& t) {
+  const int rows = t.rows(), cols = t.cols();
+  Tensor out(cols, rows);
+  // 16×16 tiles keep both the strided reads and the strided writes of a
+  // tile inside L1 when the matrix is larger than the cache.
+  constexpr int kTile = 16;
+  const float* src = t.data();
+  float* dst = out.data();
+  for (int r0 = 0; r0 < rows; r0 += kTile) {
+    const int r1 = std::min(r0 + kTile, rows);
+    for (int c0 = 0; c0 < cols; c0 += kTile) {
+      const int c1 = std::min(c0 + kTile, cols);
+      for (int r = r0; r < r1; ++r)
+        for (int c = c0; c < c1; ++c)
+          dst[static_cast<std::ptrdiff_t>(c) * rows + r] =
+              src[static_cast<std::ptrdiff_t>(r) * cols + c];
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Blocked GEMM kernels.
 //
@@ -89,41 +110,64 @@ std::string Tensor::ShapeString() const {
 // the exact same rounding sequence. The blocking below only rearranges
 // *which* element's fold advances next, never the order within a fold.
 //
-// GemmAccum and GemmTransAAccum share one panel kernel: both are
-// out[r, j] += Σ_p A(r, p) · b[p, j] with A addressed through a (row
-// stride, reduction stride) pair — (lda, 1) for A = a and (1, lda) for
-// A = aᵀ. The panel holds a kMr×kNr accumulator tile in registers; the
-// j-inner loops have compile-time trip count kNr so they vectorize, and
-// the AVX2+FMA path writes the same tile with fma intrinsics
-// (lane-wise identical to scalar fma). GemmTransBAccum is dot-product
-// shaped — its per-element fold runs over the contiguous j axis, so
-// vectorizing it would reassociate; instead kMr×kPr independent scalar
-// fma chains run interleaved, hiding fma latency without touching any
-// chain's order.
+// All three GEMMs share one panel kernel: out[r, j] += Σ_p A(r, p) ·
+// b[p, j] with A addressed through a (row stride, reduction stride) pair
+// — (lda, 1) for A = a and (1, lda) for A = aᵀ. The panel holds a kMr×kNr
+// accumulator tile in registers; the j-inner loops have compile-time trip
+// count kNr so they vectorize, and the AVX2+FMA path writes the same tile
+// with fma intrinsics (lane-wise identical to scalar fma).
+//
+// The epilogue is a compile-time choice. GemmAccum and GemmTransAAccum
+// fold straight into out: the tile starts from out's values and is
+// stored back. GemmTransBAccum's reference folds each dot product from
+// 0.0f and adds the finished sum to out once, so it runs the kernel
+// against bᵀ with FromZero set: the tile starts at 0.0f, folds p
+// ascending, and the store adds it to out — the same rounding sequence.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 using detail::MulAdd;
 
-constexpr int kMr = 4;     // rows per register tile
-constexpr int kNr = 16;    // max tile width in columns (two 8-float vectors)
-constexpr int kDotMr = 4;  // rows per dot tile in GemmTransBAccum
-constexpr int kPr = 4;     // dot-product chains per row in GemmTransBAccum
+constexpr int kMr = 4;   // rows per register tile
+constexpr int kNr = 16;  // max tile width in columns (two 8-float vectors)
+
+template <bool FromZero>
+float TileStart(const float* o) {
+  if constexpr (FromZero) {
+    return 0.0f;
+  } else {
+    return *o;
+  }
+}
+
+template <bool FromZero>
+void TileStore(float* o, float acc) {
+  if constexpr (FromZero) {
+    *o += acc;
+  } else {
+    *o = acc;
+  }
+}
 
 #if EAGLE_GEMM_SIMD
 // MR×(8·NV) tile: o[r, 0:8NV] += Σ_p A(r, p) · b[p, 0:8NV]. The k loop is
 // unrolled by two — each accumulator still folds p in ascending order,
 // the unroll only amortizes loop control and address arithmetic over
 // twice the fma work.
-template <int MR, int NV>
+template <int MR, int NV, bool FromZero>
 void GemmPanelSimd(const float* a, std::ptrdiff_t a_row_stride,
                    std::ptrdiff_t a_red_stride, const float* b,
                    std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int kk) {
   __m256 acc[MR][NV];
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      acc[r][v] = _mm256_loadu_ps(o + r * ldo + 8 * v);
+    for (int v = 0; v < NV; ++v) {
+      if constexpr (FromZero) {
+        acc[r][v] = _mm256_setzero_ps();
+      } else {
+        acc[r][v] = _mm256_loadu_ps(o + r * ldo + 8 * v);
+      }
+    }
   int p = 0;
   for (; p + 2 <= kk; p += 2) {
     const float* bp0 = b + p * ldb;
@@ -155,21 +199,28 @@ void GemmPanelSimd(const float* a, std::ptrdiff_t a_row_stride,
     }
   }
   for (int r = 0; r < MR; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm256_storeu_ps(o + r * ldo + 8 * v, acc[r][v]);
+    for (int v = 0; v < NV; ++v) {
+      float* dst = o + r * ldo + 8 * v;
+      if constexpr (FromZero) {
+        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc[r][v]));
+      } else {
+        _mm256_storeu_ps(dst, acc[r][v]);
+      }
+    }
 }
 #endif  // EAGLE_GEMM_SIMD
 
 // Portable tile with compile-time bounds so the accumulators stay in
 // registers and the c-loops vectorize.
-template <int MR, int NR>
+template <int MR, int NR, bool FromZero>
 void GemmPanelFixed(const float* a, std::ptrdiff_t a_row_stride,
                     std::ptrdiff_t a_red_stride, const float* b,
                     std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo,
                     int kk) {
   float acc[MR][NR];
   for (int r = 0; r < MR; ++r)
-    for (int c = 0; c < NR; ++c) acc[r][c] = o[r * ldo + c];
+    for (int c = 0; c < NR; ++c)
+      acc[r][c] = TileStart<FromZero>(o + r * ldo + c);
   for (int p = 0; p < kk; ++p) {
     const float* bp = b + p * ldb;
     for (int r = 0; r < MR; ++r) {
@@ -178,31 +229,35 @@ void GemmPanelFixed(const float* a, std::ptrdiff_t a_row_stride,
     }
   }
   for (int r = 0; r < MR; ++r)
-    for (int c = 0; c < NR; ++c) o[r * ldo + c] = acc[r][c];
+    for (int c = 0; c < NR; ++c)
+      TileStore<FromZero>(o + r * ldo + c, acc[r][c]);
 }
 
 // One MR-row panel of compile-time width NR (16 or 8 columns).
-template <int MR, int NR>
+template <int MR, int NR, bool FromZero>
 void GemmPanel(const float* a, std::ptrdiff_t a_row_stride,
                std::ptrdiff_t a_red_stride, const float* b,
                std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int kk) {
 #if EAGLE_GEMM_SIMD
-  GemmPanelSimd<MR, NR / 8>(a, a_row_stride, a_red_stride, b, ldb, o, ldo,
-                            kk);
+  GemmPanelSimd<MR, NR / 8, FromZero>(a, a_row_stride, a_red_stride, b, ldb,
+                                      o, ldo, kk);
 #else
-  GemmPanelFixed<MR, NR>(a, a_row_stride, a_red_stride, b, ldb, o, ldo, kk);
+  GemmPanelFixed<MR, NR, FromZero>(a, a_row_stride, a_red_stride, b, ldb, o,
+                                   ldo, kk);
 #endif
 }
 
 // Narrow tail (w < 8 columns), runtime bounds — only sub-vector-width
 // column remainders and matrix–vector shapes land here.
+template <bool FromZero>
 void GemmPanelNarrow(const float* a, std::ptrdiff_t a_row_stride,
                      std::ptrdiff_t a_red_stride, const float* b,
                      std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo,
                      int mr, int w, int kk) {
   float acc[kMr][8];
   for (int r = 0; r < mr; ++r)
-    for (int c = 0; c < w; ++c) acc[r][c] = o[r * ldo + c];
+    for (int c = 0; c < w; ++c)
+      acc[r][c] = TileStart<FromZero>(o + r * ldo + c);
   for (int p = 0; p < kk; ++p) {
     const float* bp = b + p * ldb;
     for (int r = 0; r < mr; ++r) {
@@ -211,33 +266,37 @@ void GemmPanelNarrow(const float* a, std::ptrdiff_t a_row_stride,
     }
   }
   for (int r = 0; r < mr; ++r)
-    for (int c = 0; c < w; ++c) o[r * ldo + c] = acc[r][c];
+    for (int c = 0; c < w; ++c)
+      TileStore<FromZero>(o + r * ldo + c, acc[r][c]);
 }
 
 // All m rows of one NR-wide column panel; remainder rows dispatch to
 // register kernels of their exact height instead of a runtime-bound
 // fallback (a 6% edge fraction through a slow path costs 2× overall).
-template <int NR>
+template <int NR, bool FromZero>
 void GemmRowSweep(const float* a, std::ptrdiff_t a_row_stride,
                   std::ptrdiff_t a_red_stride, const float* b,
                   std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int m,
                   int kk) {
   int i0 = 0;
   for (; i0 + kMr <= m; i0 += kMr) {
-    GemmPanel<kMr, NR>(a + i0 * a_row_stride, a_row_stride, a_red_stride, b,
-                       ldb, o + i0 * ldo, ldo, kk);
+    GemmPanel<kMr, NR, FromZero>(a + i0 * a_row_stride, a_row_stride,
+                                 a_red_stride, b, ldb, o + i0 * ldo, ldo, kk);
   }
   const float* ae = a + i0 * a_row_stride;
   float* oe = o + i0 * ldo;
   switch (m - i0) {
     case 1:
-      GemmPanel<1, NR>(ae, a_row_stride, a_red_stride, b, ldb, oe, ldo, kk);
+      GemmPanel<1, NR, FromZero>(ae, a_row_stride, a_red_stride, b, ldb, oe,
+                                 ldo, kk);
       break;
     case 2:
-      GemmPanel<2, NR>(ae, a_row_stride, a_red_stride, b, ldb, oe, ldo, kk);
+      GemmPanel<2, NR, FromZero>(ae, a_row_stride, a_red_stride, b, ldb, oe,
+                                 ldo, kk);
       break;
     case 3:
-      GemmPanel<3, NR>(ae, a_row_stride, a_red_stride, b, ldb, oe, ldo, kk);
+      GemmPanel<3, NR, FromZero>(ae, a_row_stride, a_red_stride, b, ldb, oe,
+                                 ldo, kk);
       break;
     default:
       break;
@@ -246,70 +305,27 @@ void GemmRowSweep(const float* a, std::ptrdiff_t a_row_stride,
 
 // o(m×n, stride ldo) += Σ_p A(r, p) · b[p, j] with A given as (base, row
 // stride, reduction stride) and the reduction running p = 0..kk-1.
+template <bool FromZero>
 void GemmBlocked(const float* a, std::ptrdiff_t a_row_stride,
                  std::ptrdiff_t a_red_stride, const float* b,
                  std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int m,
                  int n, int kk) {
   int j0 = 0;
   for (; j0 + kNr <= n; j0 += kNr) {
-    GemmRowSweep<kNr>(a, a_row_stride, a_red_stride, b + j0, ldb, o + j0,
-                      ldo, m, kk);
+    GemmRowSweep<kNr, FromZero>(a, a_row_stride, a_red_stride, b + j0, ldb,
+                                o + j0, ldo, m, kk);
   }
   if (n - j0 >= 8) {
-    GemmRowSweep<8>(a, a_row_stride, a_red_stride, b + j0, ldb, o + j0, ldo,
-                    m, kk);
+    GemmRowSweep<8, FromZero>(a, a_row_stride, a_red_stride, b + j0, ldb,
+                              o + j0, ldo, m, kk);
     j0 += 8;
   }
   if (j0 < n) {
     for (int i0 = 0; i0 < m; i0 += kMr) {
-      GemmPanelNarrow(a + i0 * a_row_stride, a_row_stride, a_red_stride,
-                      b + j0, ldb, o + i0 * ldo + j0, ldo,
-                      std::min(kMr, m - i0), n - j0, kk);
+      GemmPanelNarrow<FromZero>(a + i0 * a_row_stride, a_row_stride,
+                                a_red_stride, b + j0, ldb, o + i0 * ldo + j0,
+                                ldo, std::min(kMr, m - i0), n - j0, kk);
     }
-  }
-}
-
-// MR×PR dot tile: o[r, c] += Σ_j a[r, j] · b[c, j]. Each (r, c) chain
-// starts from 0.0f and is added to o once at the end, exactly like the
-// reference; the chains only run interleaved for ILP.
-template <int MR, int PR>
-void DotPanelFixed(const float* a, std::ptrdiff_t lda, const float* b,
-                   std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int n) {
-  float acc[MR][PR] = {};
-  for (int j = 0; j < n; ++j) {
-    for (int r = 0; r < MR; ++r) {
-      const float av = a[r * lda + j];
-      for (int c = 0; c < PR; ++c)
-        acc[r][c] = MulAdd(av, b[c * ldb + j], acc[r][c]);
-    }
-  }
-  for (int r = 0; r < MR; ++r)
-    for (int c = 0; c < PR; ++c) o[r * ldo + c] += acc[r][c];
-}
-
-// One MR-row band of the dot product grid: full kPr-wide tiles, then a
-// fixed-width tile for the 1–3 column remainder.
-template <int MR>
-void DotRowBand(const float* a, std::ptrdiff_t lda, const float* b,
-                std::ptrdiff_t ldb, float* o, std::ptrdiff_t ldo, int k,
-                int n) {
-  int p0 = 0;
-  for (; p0 + kPr <= k; p0 += kPr) {
-    DotPanelFixed<MR, kPr>(a, lda, b + p0 * ldb, ldb, o + p0, ldo, n);
-  }
-  const float* be = b + p0 * ldb;
-  switch (k - p0) {
-    case 1:
-      DotPanelFixed<MR, 1>(a, lda, be, ldb, o + p0, ldo, n);
-      break;
-    case 2:
-      DotPanelFixed<MR, 2>(a, lda, be, ldb, o + p0, ldo, n);
-      break;
-    case 3:
-      DotPanelFixed<MR, 3>(a, lda, be, ldb, o + p0, ldo, n);
-      break;
-    default:
-      break;
   }
 }
 
@@ -323,22 +339,47 @@ void GemmAccum(const Tensor& a, const Tensor& b, Tensor& out) {
                                           << out.ShapeString());
   const int m = a.rows(), k = a.cols(), n = b.cols();
   if (m == 0 || n == 0) return;
-  GemmBlocked(a.data(), /*a_row_stride=*/k, /*a_red_stride=*/1, b.data(), n,
-              out.data(), n, m, n, k);
+  GemmBlocked<false>(a.data(), /*a_row_stride=*/k, /*a_red_stride=*/1,
+                     b.data(), n, out.data(), n, m, n, k);
 }
 
 void GemmTransAAccum(const Tensor& a, const Tensor& b, Tensor& out) {
-  // out(k, n) += aᵀ(k, m) * b(m, n), a is m×k. The reduction runs over
-  // a's rows (i ascending), matching the reference's i-outer loop.
-  EAGLE_CHECK_MSG(a.rows() == b.rows() && out.rows() == a.cols() &&
-                      out.cols() == b.cols(),
+  EAGLE_CHECK_MSG(a.rows() == b.rows(),
                   "gemmTA shape mismatch: " << a.ShapeString() << "ᵀ * "
                                             << b.ShapeString() << " -> "
                                             << out.ShapeString());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
+  GemmTransAAccumRows(a, b, a.rows(), out);
+}
+
+void GemmTransAAccumRows(const Tensor& a, const Tensor& b, int rows,
+                         Tensor& out) {
+  // out(k, n) += aᵀ(k, rows) * b(rows, n) over the leading rows of a (k
+  // columns) and b. The reduction runs over those rows (i ascending),
+  // matching the reference's i-outer loop.
+  EAGLE_CHECK_MSG(rows >= 0 && rows <= a.rows() && rows <= b.rows() &&
+                      out.rows() == a.cols() && out.cols() == b.cols(),
+                  "gemmTA shape mismatch: " << rows << " rows of "
+                                            << a.ShapeString() << "ᵀ * "
+                                            << b.ShapeString() << " -> "
+                                            << out.ShapeString());
+  const int k = a.cols(), n = b.cols();
   if (k == 0 || n == 0) return;
-  GemmBlocked(a.data(), /*a_row_stride=*/1, /*a_red_stride=*/k, b.data(), n,
-              out.data(), n, k, n, m);
+  GemmBlocked<false>(a.data(), /*a_row_stride=*/1, /*a_red_stride=*/k,
+                     b.data(), n, out.data(), n, k, n, rows);
+}
+
+void GemmTransBAccumPretransposed(const Tensor& a, const Tensor& b_t,
+                                  Tensor& out) {
+  // out(m, k) += a(m, n) * b_t(n, k), every product folded from zero.
+  EAGLE_CHECK_MSG(a.cols() == b_t.rows() && out.rows() == a.rows() &&
+                      out.cols() == b_t.cols(),
+                  "gemmTB shape mismatch: " << a.ShapeString() << " * "
+                                            << b_t.ShapeString() << " -> "
+                                            << out.ShapeString());
+  const int m = a.rows(), n = a.cols(), k = b_t.cols();
+  if (m == 0 || k == 0) return;
+  GemmBlocked<true>(a.data(), /*a_row_stride=*/n, /*a_red_stride=*/1,
+                    b_t.data(), k, out.data(), k, m, k, n);
 }
 
 void GemmTransBAccum(const Tensor& a, const Tensor& b, Tensor& out) {
@@ -348,25 +389,7 @@ void GemmTransBAccum(const Tensor& a, const Tensor& b, Tensor& out) {
                   "gemmTB shape mismatch: " << a.ShapeString() << " * "
                                             << b.ShapeString() << "ᵀ -> "
                                             << out.ShapeString());
-  const int m = a.rows(), n = a.cols(), k = b.rows();
-  for (int i0 = 0; i0 < m; i0 += kDotMr) {
-    switch (std::min(kDotMr, m - i0)) {
-      case 4:
-        DotRowBand<4>(a.row(i0), n, b.data(), n, out.row(i0), k, k, n);
-        break;
-      case 3:
-        DotRowBand<3>(a.row(i0), n, b.data(), n, out.row(i0), k, k, n);
-        break;
-      case 2:
-        DotRowBand<2>(a.row(i0), n, b.data(), n, out.row(i0), k, k, n);
-        break;
-      case 1:
-        DotRowBand<1>(a.row(i0), n, b.data(), n, out.row(i0), k, k, n);
-        break;
-      default:
-        break;
-    }
-  }
+  GemmTransBAccumPretransposed(a, Transposed(b), out);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

@@ -73,8 +73,20 @@ class Tensor {
 void GemmAccum(const Tensor& a, const Tensor& b, Tensor& out);
 // out += aᵀ * b.
 void GemmTransAAccum(const Tensor& a, const Tensor& b, Tensor& out);
-// out += a * bᵀ.
+// out += aᵀ * b over the leading `rows` rows of a and b only: the same
+// folds as GemmTransAAccum on tensors holding just those rows.
+void GemmTransAAccumRows(const Tensor& a, const Tensor& b, int rows,
+                         Tensor& out);
+// out += a * bᵀ. Each element's dot product is folded from 0.0f and then
+// added to out once.
 void GemmTransBAccum(const Tensor& a, const Tensor& b, Tensor& out);
+// GemmTransBAccum with b given already transposed (b_t = bᵀ, n×k):
+// bit-identical to GemmTransBAccum(a, b, out), without the transpose.
+void GemmTransBAccumPretransposed(const Tensor& a, const Tensor& b_t,
+                                  Tensor& out);
+
+// Returns tᵀ.
+Tensor Transposed(const Tensor& t);
 
 // out = a * b (allocating convenience).
 Tensor MatMul(const Tensor& a, const Tensor& b);

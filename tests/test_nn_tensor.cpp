@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "nn/tensor.h"
 
@@ -16,6 +18,35 @@ TEST(Tensor, ConstructionAndAccess) {
   t.at(0, 1) = 7.0f;
   EXPECT_FLOAT_EQ(t.at(0, 1), 7.0f);
   EXPECT_FLOAT_EQ(t.row(0)[1], 7.0f);
+}
+
+// The SIMD GEMM kernels are tuned for 32-byte-aligned storage
+// (docs/PERFORMANCE.md); every tensor size must get it: odd sizes that
+// leave malloc's 16-byte alignment off by 16, sizes around 1 KB and
+// 64 KB, and sizes past glibc's 128 KB mmap threshold.
+TEST(Tensor, StorageIs32ByteAligned) {
+  const int kShapes[][2] = {{1, 1},     {1, 3},     {3, 5},     {7, 13},
+                            {1, 33},    {1, 253},   {1, 254},   {17, 31},
+                            {64, 64},   {1, 16383}, {1, 16384}, {328, 256},
+                            {1, 40001}, {129, 257}};
+  std::vector<Tensor> live;  // earlier blocks stay allocated throughout
+  for (const auto& shape : kShapes) {
+    const int rows = shape[0], cols = shape[1];
+    live.emplace_back(rows, cols, 1.0f);
+    live.push_back(Tensor::FromData(
+        rows, cols,
+        std::vector<float>(static_cast<std::size_t>(rows) * cols, 2.0f)));
+    Tensor copy(live.back());
+    Tensor assigned(1, 2);
+    assigned = copy;
+    live.push_back(std::move(copy));
+    live.push_back(std::move(assigned));
+  }
+  for (const Tensor& t : live) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.data()) % 32, 0u)
+        << t.ShapeString();
+    EXPECT_EQ(t.data()[t.size() - 1], t.data()[0]) << t.ShapeString();
+  }
 }
 
 TEST(Tensor, FromDataValidatesSize) {
